@@ -120,7 +120,9 @@ pub fn attention_scores_batch_ws(
     ws: &mut SaliencyWorkspace,
     gammas: &mut Matrix,
 ) {
-    network.input_gradient_ws(rows, &mut ws.fws, &mut ws.bws, ideal_label_grad_into);
+    // A bare network has no owner to keep an `InputGradPlan` fresh, so the
+    // Dense layers transpose into scratch; `DiagNet` ranks with its plan.
+    network.input_gradient_ws(rows, &mut ws.fws, &mut ws.bws, None, ideal_label_grad_into);
     let grad = ws.bws.input_grad();
     gammas.resize(grad.rows(), grad.cols()); // lint: allow(no_alloc, reason = "grows the caller's scratch once per batch size; steady-state calls reuse it")
     for i in 0..grad.rows() {

@@ -11,7 +11,7 @@ use diagnet_forest::ExtensibleForest;
 use diagnet_nn::error::NnError;
 use diagnet_nn::layer::Layer;
 use diagnet_nn::loss::{ideal_label_grad_into, softmax, softmax_in_place};
-use diagnet_nn::network::Network;
+use diagnet_nn::network::{InputGradPlan, Network};
 use diagnet_nn::optim::{Adam, SgdNesterov};
 use diagnet_nn::tensor::Matrix;
 use diagnet_nn::train::{train_val_split, TrainConfig, TrainHistory, Trainer};
@@ -21,6 +21,7 @@ use diagnet_sim::metrics::{FeatureSchema, K_LANDMARK_METRICS, N_LOCAL_METRICS};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// Which stages of the fine-grained pipeline to run — used by the
 /// ablation benchmarks (the paper notes raw attention alone is weak,
@@ -50,6 +51,14 @@ pub struct DiagNet {
     pub auxiliary: ExtensibleForest,
     /// Training curves (paper Fig. 9).
     pub history: TrainHistory,
+    /// `network`'s transposed Dense weights for the attention backward
+    /// (those under the plan's width cap), built by the first ranking call
+    /// and valid while `network` is left alone. The model owns it (not the per-thread workspace) so models
+    /// alternating on one thread — canary and baseline — each keep theirs.
+    /// `network` is a `pub` field: debug builds check the plan against the
+    /// live weights on every use, release builds trust it.
+    #[serde(skip)]
+    plan: OnceLock<InputGradPlan>,
 }
 
 /// Indices of the layers shared between services: the non-overlapping
@@ -173,6 +182,26 @@ impl DiagNet {
         })
     }
 
+    /// Assemble a model from already-trained parts.
+    pub fn from_parts(
+        config: DiagNetConfig,
+        network: Network,
+        normalizer: Normalizer,
+        train_schema: FeatureSchema,
+        auxiliary: ExtensibleForest,
+        history: TrainHistory,
+    ) -> Self {
+        DiagNet {
+            config,
+            network,
+            normalizer,
+            train_schema,
+            auxiliary,
+            history,
+            plan: OnceLock::new(),
+        }
+    }
+
     /// Build the (untrained) coarse network of Fig. 2 for a given config.
     pub fn build_network(config: &DiagNetConfig, seed: u64) -> Network {
         let mut layers = Vec::new();
@@ -254,14 +283,14 @@ impl DiagNet {
         let history = history?;
         let auxiliary = auxiliary?;
 
-        Ok(DiagNet {
-            config: config.clone(),
+        Ok(DiagNet::from_parts(
+            config.clone(),
             network,
             normalizer,
             train_schema,
             auxiliary,
             history,
-        })
+        ))
     }
 
     /// Train the auxiliary extensible forest (also the paper's RANDOM
@@ -343,28 +372,47 @@ impl DiagNet {
         // Coarse prediction + attention on normalised features, through
         // the fused one-forward workspace path (batch of one).
         let (coarse, gamma) = self.with_scoring_ws(|ws| {
-            let ScoringWorkspace {
-                saliency,
-                x,
-                probs,
-                gammas,
-            } = ws;
-            let SaliencyWorkspace { fws, bws } = saliency;
-            x.resize(1, schema.n_features());
-            self.normalizer.apply_into(schema, features, x.row_mut(0));
-            self.network.forward_ws(x, fws);
-            probs.copy_from(fws.output());
-            softmax_in_place(probs);
-            ideal_label_grad_into(fws.output(), bws.grad_logits_mut());
-            self.network.backward_ws(x, fws, None, bws);
-            let grad = bws.input_grad();
-            gammas.resize(1, grad.cols());
-            normalize_gradients_into(grad.row(0), gammas.row_mut(0));
+            self.normalize_stage(std::slice::from_ref(&features), schema, ws);
+            self.forward_stage(ws);
+            self.attention_backward_stage(ws);
             // Extract before releasing the thread-local borrow: fine_rank
             // below may run inside rayon sections that re-enter scoring.
-            (probs.row(0).to_vec(), gammas.row(0).to_vec())
+            (ws.probs.row(0).to_vec(), ws.gammas.row(0).to_vec())
         });
         self.fine_rank(features, schema, mode, coarse, gamma)
+    }
+
+    /// Stage 1 of the fused block both ranking entry points run: standardise
+    /// `rows` into the workspace's input matrix.
+    fn normalize_stage<R: AsRef<[f32]>>(
+        &self,
+        rows: &[R],
+        schema: &FeatureSchema,
+        ws: &mut ScoringWorkspace,
+    ) {
+        self.normalizer.apply_matrix_into(schema, rows, &mut ws.x);
+    }
+
+    /// Stage 2: **one** cached forward, whose activations serve both the
+    /// coarse softmax here and the attention backward of stage 3.
+    fn forward_stage(&self, ws: &mut ScoringWorkspace) {
+        let logits = self.network.forward_ws(&ws.x, &mut ws.saliency.fws);
+        ws.probs.copy_from(logits);
+        softmax_in_place(&mut ws.probs);
+    }
+
+    /// Stage 3: ideal-label backward to the input through the model's
+    /// [`InputGradPlan`] (built here on first use), then Eq. 1 per row.
+    fn attention_backward_stage(&self, ws: &mut ScoringWorkspace) {
+        let SaliencyWorkspace { fws, bws } = &mut ws.saliency;
+        let plan = self.plan.get_or_init(|| self.network.input_grad_plan());
+        ideal_label_grad_into(fws.output(), bws.grad_logits_mut());
+        self.network.backward_ws(&ws.x, fws, None, bws, Some(plan));
+        let grad = bws.input_grad();
+        ws.gammas.resize(grad.rows(), grad.cols());
+        for i in 0..grad.rows() {
+            normalize_gradients_into(grad.row(i), ws.gammas.row_mut(i));
+        }
     }
 
     /// The fine-grained tail of the pipeline, shared verbatim between the
@@ -444,44 +492,26 @@ impl DiagNet {
         // the 2 % budget documented in OBSERVABILITY.md.
         let _span = diagnet_obs::span("core.rank_causes_batch");
         let (probs_rows, gamma_rows) = self.with_scoring_ws(|ws| {
-            let ScoringWorkspace {
-                saliency,
-                x,
-                probs,
-                gammas,
-            } = ws;
-            let SaliencyWorkspace { fws, bws } = saliency;
             {
                 let _s = diagnet_obs::span("core.normalize");
-                self.normalizer.apply_matrix_into(schema, rows, x);
+                self.normalize_stage(rows, schema, ws);
             }
             {
-                // One cached forward serves both the coarse softmax here
-                // and the attention backward below.
                 let _s = diagnet_obs::span("core.forward");
-                self.network.forward_ws(x, fws);
-                probs.copy_from(fws.output());
-                softmax_in_place(probs);
+                self.forward_stage(ws);
             }
             {
                 let _s = diagnet_obs::span("core.attention_backward");
-                ideal_label_grad_into(fws.output(), bws.grad_logits_mut());
-                self.network.backward_ws(x, fws, None, bws);
-                let grad = bws.input_grad();
-                gammas.resize(grad.rows(), grad.cols());
-                for i in 0..grad.rows() {
-                    normalize_gradients_into(grad.row(i), gammas.row_mut(i));
-                }
+                self.attention_backward_stage(ws);
             }
             // Per-row extraction is the output boundary (the rankings own
             // their vectors); it also releases the thread-local borrow
             // before the parallel fine stage, whose work-stealing may
             // re-enter scoring on this thread.
-            let probs_rows: Vec<Vec<f32>> =
-                (0..probs.rows()).map(|i| probs.row(i).to_vec()).collect();
-            let gamma_rows: Vec<Vec<f32>> =
-                (0..gammas.rows()).map(|i| gammas.row(i).to_vec()).collect();
-            (probs_rows, gamma_rows)
+            let rows_of = |m: &Matrix| -> Vec<Vec<f32>> {
+                (0..m.rows()).map(|i| m.row(i).to_vec()).collect()
+            };
+            (rows_of(&ws.probs), rows_of(&ws.gammas))
         });
         let _s = diagnet_obs::span("core.fine_rank");
         rows.par_iter()
@@ -531,14 +561,14 @@ impl DiagNet {
             class_weights,
             SplitMix64::derive(seed, 5),
         )?;
-        Ok(DiagNet {
-            config: self.config.clone(),
+        Ok(DiagNet::from_parts(
+            self.config.clone(),
             network,
-            normalizer: self.normalizer.clone(),
-            train_schema: self.train_schema.clone(),
-            auxiliary: self.auxiliary.clone(),
+            self.normalizer.clone(),
+            self.train_schema.clone(),
+            self.auxiliary.clone(),
             history,
-        })
+        ))
     }
 
     /// Total network parameter count (the paper reports 215,312 for the
@@ -763,6 +793,72 @@ mod tests {
         assert_eq!(a.w, b.w, "first FC weights must stay frozen");
         assert_eq!(a.b, b.b, "first FC bias must stay frozen");
         assert!(special.num_trainable_params() < model.num_params());
+    }
+
+    /// Each model ranks through a plan built from its own weights: a
+    /// clone's agrees with the original's, a specialised model's reflects
+    /// its retrained head, and neither path drifts from the transposing
+    /// reference (`attention_scores_batch`, which takes no plan).
+    #[test]
+    fn clones_and_specialised_models_rank_with_their_own_plan() {
+        let (world, train, test, model) = trained_fast();
+        let full = FeatureSchema::full();
+        let rows: Vec<Vec<f32>> = test
+            .samples
+            .iter()
+            .take(5)
+            .map(|s| s.features.clone())
+            .collect();
+        let reference = |m: &DiagNet| {
+            crate::attention::attention_scores_batch(
+                &m.network,
+                &m.normalizer.apply_matrix(&full, &rows),
+            )
+        };
+        let attention = |m: &DiagNet| -> Vec<Vec<f32>> {
+            m.rank_causes_batch_with(&rows, &full, PipelineMode::AttentionOnly)
+                .into_iter()
+                .map(|r| r.scores)
+                .collect()
+        };
+        // A clone copies the plan if the original has ranked already and
+        // builds its own on first use if not (other tests share the
+        // fixture, so either can happen here): both must describe the
+        // clone's weights.
+        let clone = model.clone();
+        assert_eq!(attention(&clone), reference(model));
+        assert!(clone.plan.get().is_some_and(|p| p.matches(&clone.network)));
+        let clone_of_ranked = clone.clone();
+        assert!(clone_of_ranked.plan.get().is_some());
+        assert_eq!(attention(&clone_of_ranked), reference(model));
+
+        let sid = world.catalog.by_name("video.stream").unwrap().id;
+        let special = model.specialize(&train.filter_service(sid), 33).unwrap();
+        assert!(special.plan.get().is_none(), "a new model starts unplanned");
+        assert_eq!(attention(&special), reference(&special));
+        assert_ne!(attention(&special), attention(model));
+        for (row, b) in rows.iter().zip(special.rank_causes_batch(&rows, &full)) {
+            assert_eq!(special.rank_causes(row, &full), b);
+        }
+    }
+
+    /// `network` is a public field, so nothing stops a caller editing a
+    /// weight after the plan was built; debug builds (tier-1 runs them)
+    /// refuse to rank with the stale plan instead of serving scores of a
+    /// network that no longer exists.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale InputGradPlan")]
+    fn mutating_the_network_after_ranking_is_caught() {
+        let (_, _, test, model) = trained_fast();
+        let full = FeatureSchema::full();
+        let mut model = model.clone();
+        model.rank_causes(&test.samples[0].features, &full);
+        let Some(Layer::Dense(head)) = model.network.layers.last_mut() else {
+            panic!("last layer must be Dense")
+        };
+        head.w.set(0, 0, head.w.get(0, 0) + 1.0);
+        model.rank_causes(&test.samples[0].features, &full);
     }
 
     #[test]

@@ -185,11 +185,16 @@ impl Normalizer {
     /// # Panics
     /// Panics if a row width mismatches the schema.
     // lint: no_alloc
-    pub fn apply_matrix_into(&self, schema: &FeatureSchema, rows: &[Vec<f32>], out: &mut Matrix) {
+    pub fn apply_matrix_into<R: AsRef<[f32]>>(
+        &self,
+        schema: &FeatureSchema,
+        rows: &[R],
+        out: &mut Matrix,
+    ) {
         let m = schema.n_features();
         out.resize(rows.len(), m); // lint: allow(no_alloc, reason = "grows the caller's scratch once per batch size; steady-state calls reuse it")
         for (row, orow) in rows.iter().zip(out.data_mut().chunks_exact_mut(m.max(1))) {
-            self.apply_into(schema, row, orow);
+            self.apply_into(schema, row.as_ref(), orow);
         }
     }
 

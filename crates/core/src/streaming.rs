@@ -384,14 +384,14 @@ impl DiagNet {
             )?
         };
 
-        Ok(DiagNet {
-            config: config.clone(),
+        Ok(DiagNet::from_parts(
+            config.clone(),
             network,
             normalizer,
             train_schema,
             auxiliary,
             history,
-        })
+        ))
     }
 }
 

@@ -470,7 +470,15 @@ impl Layer {
     ) -> Matrix {
         let mut grad_in = Matrix::zeros(0, 0);
         let mut scratch = BackwardScratch::default();
-        self.backward_into(input, cache, grad_out, &mut grad_in, grads, &mut scratch);
+        self.backward_into(
+            input,
+            cache,
+            grad_out,
+            &mut grad_in,
+            grads,
+            &mut scratch,
+            None,
+        );
         grad_in
     }
 
@@ -480,6 +488,13 @@ impl Layer {
     /// intermediates. Allocation-free once buffers reach steady-state
     /// capacity, except for the gradient GEMMs' batch-partial parallel
     /// path.
+    ///
+    /// `dense_wt` is this layer's `Wᵀ` from an
+    /// [`InputGradPlan`](crate::network::InputGradPlan) when the weights
+    /// are frozen (serving); `None` (training, where `W` moves every step,
+    /// or a layer wider than the plan's cap) transposes into `scratch` on
+    /// each call. Ignored by ReLU and LandPool.
+    #[allow(clippy::too_many_arguments)]
     pub fn backward_into(
         &self,
         input: &Matrix,
@@ -488,18 +503,27 @@ impl Layer {
         grad_in: &mut Matrix,
         grads: Option<&mut LayerGrads>,
         scratch: &mut BackwardScratch,
+        dense_wt: Option<&Matrix>,
     ) {
         match self {
             Layer::Dense(d) => {
-                // dX = dY · Wᵀ. Materialising Wᵀ into scratch first costs
-                // O(in·out) data movement but lets the O(batch·in·out)
-                // product run through the streaming register-strip kernel
-                // instead of matmul_bt_into's serially-dependent dot
-                // products — the difference between FP-add latency and
-                // FMA throughput. Both forms accumulate each element in
-                // ascending-k order, so results are bit-identical.
-                transpose_into(&d.w, &mut scratch.wt);
-                matmul_into(grad_out, &scratch.wt, grad_in);
+                // dX = dY · Wᵀ with Wᵀ materialised (by the plan, else
+                // into scratch here): O(in·out) data movement lets the
+                // O(batch·in·out) product run through the streaming
+                // register-strip kernel instead of matmul_bt_into's
+                // serially-dependent dot products — the difference
+                // between FP-add latency and FMA throughput. Both forms
+                // accumulate each element in ascending-k order, and both
+                // sources of Wᵀ feed the same kernel the same bytes, so
+                // results are bit-identical.
+                let wt = match dense_wt {
+                    Some(wt) => wt,
+                    None => {
+                        transpose_into(&d.w, &mut scratch.wt);
+                        &scratch.wt
+                    }
+                };
+                matmul_into(grad_out, wt, grad_in);
                 if let Some(LayerGrads::Dense { dw, db }) = grads {
                     matmul_at_acc(input, grad_out, dw);
                     column_sums_acc(grad_out, db);

@@ -1,12 +1,25 @@
 //! Matrix products, parallelised with rayon.
 //!
-//! Three product flavours cover everything backpropagation needs without
-//! ever materialising a transpose:
+//! Three product flavours cover everything backpropagation needs:
 //!
-//! * [`matmul`]      — `C = A · B`        (forward pass)
-//! * [`matmul_bt`]   — `C = A · Bᵀ`       (input gradients: `dX = dY · Wᵀ`
-//!   when weights are stored `out × in`… see [`crate::layer::Dense`])
-//! * [`matmul_at`]   — `C = Aᵀ · B`       (weight gradients: `dW = dYᵀ · X`)
+//! * [`matmul`]      — `C = A · B`        (forward pass `Y = X · W`, Dense
+//!   weights being stored `in × out` — see [`crate::layer::Dense`] — and
+//!   the Dense input gradient `dX = dY · Wᵀ` against a materialised `Wᵀ`)
+//! * [`matmul_bt`]   — `C = A · Bᵀ`       (the LandPool convolution
+//!   `F = XL · Kᵀ`, kernel stored `f × k`)
+//! * [`matmul_at`]   — `C = Aᵀ · B`       (weight gradients: `dW = Xᵀ · dY`)
+//!
+//! Only the Dense input gradient needs a transposed operand in memory,
+//! because the streaming kernel behind [`matmul`] is an order of magnitude
+//! faster than [`matmul_bt`]'s dot products. Who owns that `Wᵀ` depends on
+//! whether the weights still move: for frozen weights (a published model
+//! being served) an [`InputGradPlan`](crate::network::InputGradPlan)
+//! holds one `Wᵀ` per Dense layer up to
+//! [`PLAN_MAX_WEIGHTS`](crate::network::PLAN_MAX_WEIGHTS), built once per
+//! model; for training, where `W` changes every step, and for the wider
+//! layers the plan leaves out, [`transpose_into`] rebuilds it in the
+//! backward scratch on every call. Both feed the same kernel the same
+//! bytes.
 //!
 //! Every kernel also exists as a `*_into` variant ([`matmul_into`],
 //! [`matmul_bt_into`], [`matmul_at_into`], plus the accumulating
@@ -283,13 +296,16 @@ pub fn matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
 /// Cache-blocked transpose of `a` into `out` (resized as needed) — the
 /// reusable-buffer flavour of [`Matrix::transpose`].
 ///
-/// The backward pass uses this to materialise `Wᵀ` into scratch once per
-/// call and then feed `dX = dY · Wᵀ` through the streaming
-/// [`matmul_into`] kernel, whose register-strip accumulation is an order
-/// of magnitude faster than the serially-dependent dot-product form of
-/// [`matmul_bt_into`]. The transpose itself is O(in·out) data movement
-/// against the O(batch·in·out) product, and both operands then stream
-/// contiguously.
+/// A Dense backward without an
+/// [`InputGradPlan`](crate::network::InputGradPlan) (training) uses this
+/// to materialise `Wᵀ` into scratch — once per Dense layer per call,
+/// since `W` moved since the last one — and then feeds `dX = dY · Wᵀ`
+/// through the streaming [`matmul_into`] kernel, whose register-strip
+/// accumulation is an order of magnitude faster than the
+/// serially-dependent dot-product form of [`matmul_bt_into`]. The
+/// transpose is O(in·out) data movement against the O(batch·in·out)
+/// product: cheap beside a training batch, most of a single-row backward,
+/// which is why serving takes `Wᵀ` from the plan instead.
 // lint: no_alloc
 pub fn transpose_into(a: &Matrix, out: &mut Matrix) {
     let (m, n) = (a.rows(), a.cols());

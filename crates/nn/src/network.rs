@@ -1,7 +1,7 @@
 //! Networks: layer stacks with forward, backward and input-gradient passes.
 
 use crate::error::NnError;
-use crate::layer::{Layer, LayerCache, LayerGrads};
+use crate::layer::{Dense, Layer, LayerCache, LayerGrads};
 use crate::loss::{softmax, softmax_cross_entropy_weighted, softmax_cross_entropy_weighted_into};
 use crate::tensor::Matrix;
 use crate::workspace::{BackwardWorkspace, ForwardWorkspace};
@@ -33,6 +33,63 @@ impl Gradients {
                 }
             }
         }
+    }
+}
+
+/// The transposed Dense weights (`Wᵀ`, `out × in`) a backward-to-input
+/// pass multiplies by, built once by [`Network::input_grad_plan`] for
+/// weights that no longer change — a published model's. Passed to
+/// [`Network::backward_ws`] it replaces the per-call transpose into scratch
+/// with the same bytes in the same kernel, so gradients are bit-identical
+/// with and without it. Whoever owns the network owns the plan and must
+/// rebuild it when a weight changes; debug builds verify it against the
+/// live weights on every use.
+///
+/// Only Dense layers of at most [`PLAN_MAX_WEIGHTS`] weights get a `Wᵀ`;
+/// a wider one keeps transposing into scratch on every call.
+#[derive(Debug, Clone)]
+pub struct InputGradPlan {
+    /// `Wᵀ` per layer, `None` for layers without Dense weights and for
+    /// Dense layers over [`PLAN_MAX_WEIGHTS`].
+    wt: Vec<Option<Matrix>>,
+}
+
+/// Widest Dense layer (in weights) an [`InputGradPlan`] holds a `Wᵀ` for.
+///
+/// A first step, sized on the paper model (Dense 317×512, 512×128, 128×7):
+/// the 512×128 layer is where a per-call transpose hurts most (~175 µs of
+/// a 365 µs single-probe ranking: its 2 KiB destination stride thrashes L1
+/// sets) for the least plan memory (262 KB a model), while the 317×512
+/// layer costs ~120 µs a call and would be 71 % of the plan. Planning it
+/// too takes a single-probe ranking from ~165 µs to ~65 µs; CHANGES.md
+/// (PR 15) says why that is left to the next change.
+pub const PLAN_MAX_WEIGHTS: usize = 100_000;
+
+fn planned(d: &Dense) -> bool {
+    d.w.rows() * d.w.cols() <= PLAN_MAX_WEIGHTS
+}
+
+impl InputGradPlan {
+    /// Whether every `Wᵀ` is still the bitwise transpose of `net`'s live
+    /// weights (and the layer structure is the one the plan was built for).
+    pub fn matches(&self, net: &Network) -> bool {
+        self.wt.len() == net.layers.len()
+            && self
+                .wt
+                .iter()
+                .zip(&net.layers)
+                .all(|(wt, layer)| match (wt, layer) {
+                    (Some(wt), Layer::Dense(d)) => {
+                        let (m, n) = (d.w.rows(), d.w.cols());
+                        (wt.rows(), wt.cols()) == (n, m)
+                            && (0..m).all(|i| {
+                                (0..n).all(|j| d.w.get(i, j).to_bits() == wt.get(j, i).to_bits())
+                            })
+                    }
+                    (None, Layer::Dense(d)) => !planned(d),
+                    (Some(_), _) => false,
+                    (None, _) => true,
+                })
     }
 }
 
@@ -74,6 +131,22 @@ impl Network {
             .sum()
     }
 
+    /// Transpose the weights of every Dense layer of at most
+    /// [`PLAN_MAX_WEIGHTS`] once, for backward-to-input passes over weights
+    /// that stay fixed (see [`InputGradPlan`]).
+    pub fn input_grad_plan(&self) -> InputGradPlan {
+        InputGradPlan {
+            wt: self
+                .layers
+                .iter()
+                .map(|layer| match layer {
+                    Layer::Dense(d) if planned(d) => Some(d.w.transpose()),
+                    _ => None,
+                })
+                .collect(),
+        }
+    }
+
     /// Forward pass to logits. Allocating wrapper around
     /// [`Network::forward_ws`]; callers on the hot path should hold a
     /// [`ForwardWorkspace`] and call that directly.
@@ -105,7 +178,9 @@ impl Network {
     /// [`Network::forward_ws`] on the same `x`. On entry
     /// `bws.grad_logits_mut()` must hold `∂L/∂logits`; on exit
     /// `bws.input_grad()` holds `∂L/∂x`. Parameter gradients are
-    /// accumulated into `grads` when provided.
+    /// accumulated into `grads` when provided. `plan` supplies the Dense
+    /// `Wᵀ`s when the weights are frozen (serving); training passes `None`
+    /// and each Dense layer transposes into `bws`'s scratch per call.
     // lint: no_alloc
     pub fn backward_ws(
         &self,
@@ -113,6 +188,7 @@ impl Network {
         fws: &ForwardWorkspace,
         grads: Option<&mut Gradients>,
         bws: &mut BackwardWorkspace,
+        plan: Option<&InputGradPlan>,
     ) {
         assert_eq!(
             fws.num_layers(),
@@ -126,6 +202,10 @@ impl Network {
                 "backward_ws: gradient holder mismatch"
             );
         }
+        debug_assert!(
+            plan.is_none_or(|p| p.matches(self)),
+            "backward_ws: stale InputGradPlan — the network's weights changed after it was built"
+        );
         let mut gs = grads;
         for i in (0..self.layers.len()).rev() {
             let input = if i == 0 { x } else { &fws.activations[i - 1] };
@@ -137,6 +217,7 @@ impl Network {
                 &mut bws.next,
                 layer_grads,
                 &mut bws.scratch,
+                plan.and_then(|p| p.wt.get(i)?.as_ref()),
             );
             std::mem::swap(&mut bws.cur, &mut bws.next);
         }
@@ -162,7 +243,7 @@ impl Network {
             class_weights,
             bws.grad_logits_mut(),
         );
-        self.backward_ws(x, fws, Some(grads), bws);
+        self.backward_ws(x, fws, Some(grads), bws, None);
         loss
     }
 
@@ -265,7 +346,7 @@ impl Network {
     {
         let mut fws = ForwardWorkspace::new(self);
         let mut bws = BackwardWorkspace::new(self);
-        self.input_gradient_ws(x, &mut fws, &mut bws, |logits, grad| {
+        self.input_gradient_ws(x, &mut fws, &mut bws, None, |logits, grad| {
             *grad = make_grad(logits);
         });
         bws.cur
@@ -278,21 +359,23 @@ impl Network {
     /// `make_grad` receives the logits of this call's forward pass and
     /// writes `∂L/∂logits` into the provided buffer; on exit
     /// `bws.input_grad()` holds `∂L/∂x` and `fws.output()` still holds the
-    /// logits (the backward only reads `fws`). Zero heap allocations once
-    /// both workspaces are warm.
+    /// logits (the backward only reads `fws`). `plan` is handed to
+    /// [`Network::backward_ws`]. Zero heap allocations once both
+    /// workspaces are warm.
     // lint: no_alloc
     pub fn input_gradient_ws<F>(
         &self,
         x: &Matrix,
         fws: &mut ForwardWorkspace,
         bws: &mut BackwardWorkspace,
+        plan: Option<&InputGradPlan>,
         make_grad: F,
     ) where
         F: FnOnce(&Matrix, &mut Matrix),
     {
         self.forward_ws(x, fws);
         make_grad(fws.output(), &mut bws.cur);
-        self.backward_ws(x, fws, None, bws);
+        self.backward_ws(x, fws, None, bws, plan);
     }
 
     /// Output width produced for inputs of `in_dim` features; validates all
@@ -550,8 +633,118 @@ mod tests {
         net.forward_ws(&x, &mut fws);
         let (_, grad_logits) = crate::loss::softmax_cross_entropy(fws.output(), &targets);
         bws.grad_logits_mut().copy_from(&grad_logits);
-        net.backward_ws(&x, &fws, None, &mut bws);
+        net.backward_ws(&x, &fws, None, &mut bws, None);
         assert_eq!(bws.input_grad(), &expected);
+    }
+
+    /// A backward pass fed `Wᵀ` from an [`InputGradPlan`] must equal the
+    /// one that transposes into scratch bit for bit: same kernel, same
+    /// bytes. The Dense input widths (11, 45, 37) make `dX = dY · Wᵀ` end
+    /// on the strip kernel's 8-wide tile and its scalar tail, and the
+    /// all-zero input rows come out of the first ReLU all zero, so their
+    /// `dY` rows take the kernel's zero-skip.
+    #[test]
+    fn planned_backward_is_bit_identical_to_transposing_backward() {
+        use crate::workspace::{BackwardWorkspace, ForwardWorkspace};
+        let mut net = Network::new(vec![
+            Layer::land_pool(
+                3,
+                2,
+                2,
+                vec![PoolOp::Avg, PoolOp::Max, PoolOp::Percentile(50)],
+                3,
+            ),
+            Layer::dense(3 * 3 + 2, 45, 4),
+            Layer::relu(),
+            Layer::dense(45, 37, 5),
+            Layer::relu(),
+            Layer::dense(37, 3, 6),
+        ]);
+        let Layer::Dense(first) = &mut net.layers[1] else {
+            panic!()
+        };
+        first.b.fill(-0.05);
+        let plan = net.input_grad_plan();
+        assert!(plan.matches(&net));
+        let mut fws = ForwardWorkspace::new(&net);
+        let mut transposing = BackwardWorkspace::new(&net);
+        let mut planned = BackwardWorkspace::new(&net);
+        for (batch, seed) in [(1usize, 51u64), (7, 52), (64, 53), (1, 54)] {
+            let mut x = random_matrix(batch, 4 * 2 + 2, seed);
+            if batch > 1 {
+                x.row_mut(0).fill(0.0);
+                x.row_mut(batch - 1).fill(0.0);
+            }
+            let targets: Vec<usize> = (0..batch).map(|i| i % 3).collect();
+            net.forward_ws(&x, &mut fws);
+            if batch > 1 {
+                assert!(fws.activation(2).row(0).iter().all(|&v| v == 0.0));
+            }
+            let (_, grad_logits) = crate::loss::softmax_cross_entropy(fws.output(), &targets);
+            transposing.grad_logits_mut().copy_from(&grad_logits);
+            net.backward_ws(&x, &fws, None, &mut transposing, None);
+            planned.grad_logits_mut().copy_from(&grad_logits);
+            net.backward_ws(&x, &fws, None, &mut planned, Some(&plan));
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(planned.input_grad()),
+                bits(transposing.input_grad()),
+                "batch {batch}"
+            );
+            assert!(planned.input_grad().norm() > 0.0, "batch {batch}");
+        }
+        // The plan describes the weights it was built from, nothing later.
+        let Layer::Dense(last) = &mut net.layers[5] else {
+            panic!()
+        };
+        last.w.set(36, 2, last.w.get(36, 2) + 1.0);
+        assert!(!plan.matches(&net));
+        assert!(net.input_grad_plan().matches(&net));
+    }
+
+    /// A Dense layer over [`PLAN_MAX_WEIGHTS`] gets no `Wᵀ`: a planned
+    /// pass transposes it into scratch from the live weights while the
+    /// narrower layers read the plan, and the mix is still bit-identical
+    /// to transposing everything — also after the wide layer's weights
+    /// move, which the plan neither holds nor calls stale.
+    #[test]
+    fn layers_over_the_plan_cap_keep_transposing() {
+        use crate::workspace::{BackwardWorkspace, ForwardWorkspace};
+        let mut net = Network::new(vec![
+            Layer::dense(317, 512, 7),
+            Layer::relu(),
+            Layer::dense(512, 128, 8),
+            Layer::relu(),
+            Layer::dense(128, 7, 9),
+        ]);
+        let plan = net.input_grad_plan();
+        let held: Vec<bool> = plan.wt.iter().map(Option::is_some).collect();
+        assert_eq!(held, [false, false, true, false, true]);
+        let mut fws = ForwardWorkspace::new(&net);
+        let mut transposing = BackwardWorkspace::new(&net);
+        let mut planned = BackwardWorkspace::new(&net);
+        for (batch, seed) in [(1usize, 61u64), (7, 62)] {
+            let x = random_matrix(batch, 317, seed);
+            let targets: Vec<usize> = (0..batch).map(|i| i % 7).collect();
+            net.forward_ws(&x, &mut fws);
+            let (_, grad_logits) = crate::loss::softmax_cross_entropy(fws.output(), &targets);
+            transposing.grad_logits_mut().copy_from(&grad_logits);
+            net.backward_ws(&x, &fws, None, &mut transposing, None);
+            planned.grad_logits_mut().copy_from(&grad_logits);
+            net.backward_ws(&x, &fws, None, &mut planned, Some(&plan));
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(planned.input_grad()),
+                bits(transposing.input_grad()),
+                "batch {batch}"
+            );
+            assert!(planned.input_grad().norm() > 0.0, "batch {batch}");
+            let Layer::Dense(wide) = &mut net.layers[0] else {
+                panic!()
+            };
+            wide.w.set(5, 5, wide.w.get(5, 5) + 0.5);
+            assert!(plan.matches(&net));
+        }
     }
 
     #[test]

@@ -153,9 +153,14 @@ pub struct BackwardScratch {
     pub(crate) df: Matrix,
     /// Gradient w.r.t. the gathered landmark blocks, `(batch·ℓ) × k`.
     pub(crate) dxl: Matrix,
-    /// Transposed Dense weights (`in × out`), rebuilt per backward call so
-    /// `dX = dY · Wᵀ` runs through the streaming [`crate::linalg::matmul_into`]
-    /// kernel instead of the latency-bound dot-product form.
+    /// Transposed Dense weights (`Wᵀ`, `out × in`) so `dX = dY · Wᵀ` runs
+    /// through the streaming [`crate::linalg::matmul_into`] kernel instead
+    /// of the latency-bound dot-product form. Written by every Dense layer
+    /// the pass has no planned `Wᵀ` for, on every call: all of them without
+    /// an [`InputGradPlan`](crate::network::InputGradPlan) — training,
+    /// where `W` moves every step, and the allocating wrappers — and with
+    /// one the layers over its width cap. A pass whose every Dense layer
+    /// is planned leaves it empty.
     pub(crate) wt: Matrix,
     /// One pooling scratch per parallel task.
     pub(crate) rows: Vec<PoolRowScratch>,

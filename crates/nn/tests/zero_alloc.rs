@@ -88,7 +88,7 @@ fn steady_state_forward_is_allocation_free() {
         softmax_cross_entropy_weighted_into(fws.output(), &targets, None, &mut grad_logits);
         grads.zero();
         bws.grad_logits_mut().copy_from(&grad_logits);
-        net.backward_ws(&x, &fws, Some(&mut grads), &mut bws);
+        net.backward_ws(&x, &fws, Some(&mut grads), &mut bws, None);
     }
 
     // Steady state: the forward pass must never hit the allocator.
@@ -116,7 +116,7 @@ fn steady_state_forward_is_allocation_free() {
         softmax_cross_entropy_weighted_into(fws.output(), &targets, None, &mut grad_logits);
         grads.zero();
         bws.grad_logits_mut().copy_from(&grad_logits);
-        net.backward_ws(&x, &fws, Some(&mut grads), &mut bws);
+        net.backward_ws(&x, &fws, Some(&mut grads), &mut bws, None);
     }
     COUNTING.store(false, Ordering::SeqCst);
     let step_allocs = ALLOC_CALLS.load(Ordering::SeqCst);
@@ -127,11 +127,13 @@ fn steady_state_forward_is_allocation_free() {
 
     // The fused saliency primitive — one cached forward plus the
     // ideal-label backward through the same workspaces — must be equally
-    // clean: it is the serving path's per-batch inner loop.
+    // clean: it is the serving path's per-batch inner loop. As in serving,
+    // the Dense `Wᵀ`s come from a plan built once, outside the loop.
+    let plan = net.input_grad_plan();
     ALLOC_CALLS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
     for _ in 0..20 {
-        net.input_gradient_ws(&x, &mut fws, &mut bws, ideal_label_grad_into);
+        net.input_gradient_ws(&x, &mut fws, &mut bws, Some(&plan), ideal_label_grad_into);
         checksum += bws.input_grad().get(0, 0);
     }
     COUNTING.store(false, Ordering::SeqCst);

@@ -15,7 +15,7 @@
 //! | non-finite scores withheld      | 500    |
 
 use crate::http::Response;
-use crate::json::Json;
+use crate::json::{write_f32, write_string, Json};
 use diagnet::integrity::render_checksum;
 use diagnet_platform::admission::RejectReason;
 use diagnet_platform::health::HealthState;
@@ -27,6 +27,7 @@ use diagnet_sim::metrics::{FeatureId, FeatureSchema};
 use diagnet_sim::region::{Region, ALL_REGIONS};
 use diagnet_sim::service::ServiceId;
 use diagnet_sim::world::Label;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Default number of ranked causes echoed in a diagnose response.
@@ -216,7 +217,11 @@ pub fn handle_diagnose(state: &AppState, body: &[u8]) -> Response {
         .and_then(Json::as_usize)
         .unwrap_or(DEFAULT_TOP_K);
     match state.service.diagnose(&features, service, &state.schema) {
-        Ok(d) => Response::json(200, diagnosis_json(&d, &state.schema, top_k).render()),
+        Ok(d) => {
+            let mut body = String::new();
+            write_diagnosis(&mut body, &d, top_k, &schema_names(&state.schema));
+            Response::json(200, body)
+        }
         Err(e) => diagnose_error_response(&e),
     }
 }
@@ -261,60 +266,88 @@ fn handle_diagnose_batch(state: &AppState, doc: &Json) -> Response {
     {
         Err(e) => diagnose_error_response(&e),
         Ok(results) => {
-            let items = results
-                .iter()
-                .map(|r| match r {
-                    Ok(d) => diagnosis_json(d, &state.schema, top_k),
-                    Err(e) => diagnose_error_json(e),
-                })
-                .collect();
-            Response::json(200, Json::obj(vec![("results", Json::Arr(items))]).render())
+            let mut body = String::new();
+            write_batch(&mut body, &results, top_k, &schema_names(&state.schema));
+            Response::json(200, body)
         }
     }
 }
 
-fn diagnosis_json(d: &Diagnosis, schema: &FeatureSchema, top_k: usize) -> Json {
+/// Cause names of the serving schema, `None` past its width.
+fn schema_names(schema: &FeatureSchema) -> impl Fn(usize) -> Option<String> + '_ {
+    move |idx| (idx < schema.n_features()).then(|| schema.feature(idx).name())
+}
+
+/// Append a batch reply: `{"results":[…]}`, one diagnosis or typed error
+/// object per probe, in request order.
+fn write_batch(
+    out: &mut String,
+    results: &[Result<Diagnosis, DiagnoseError>],
+    top_k: usize,
+    name_of: &impl Fn(usize) -> Option<String>,
+) {
+    out.push_str("{\"results\":[");
+    for (i, result) in results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match result {
+            Ok(d) => write_diagnosis(out, d, top_k, name_of),
+            Err(e) => out.push_str(&diagnose_error_json(e).render()),
+        }
+    }
+    out.push_str("]}");
+}
+
+/// Append `[v,v,…]`.
+fn write_f32_array(out: &mut String, values: &[f32]) {
+    out.push('[');
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_f32(out, v);
+    }
+    out.push(']');
+}
+
+/// Append one diagnosis object. The reply schema is fixed, so the keys are
+/// literals and every number goes from its own type straight to text — no
+/// `Json` tree, no `f32 → String → f64 → String` per score. Byte-for-byte
+/// what the tree used to render (`tests::reference_diagnosis_json`).
+fn write_diagnosis(
+    out: &mut String,
+    d: &Diagnosis,
+    top_k: usize,
+    name_of: &impl Fn(usize) -> Option<String>,
+) {
+    // Integers print as the tree's `f64` did, whatever their magnitude.
+    let _ = write!(out, "{{\"model_version\":{}", d.model_version as f64);
+    out.push_str(",\"top_cause\":");
+    write_string(out, &d.top_cause.name());
+    out.push_str(",\"w_unknown\":");
+    write_f32(out, d.ranking.w_unknown);
+    out.push_str(",\"top\":[");
     let top = d
         .ranking
         .top(top_k)
         .into_iter()
-        .filter_map(|idx| {
-            let score = d.ranking.scores.get(idx).copied()?;
-            (idx < schema.n_features()).then(|| {
-                Json::obj(vec![
-                    ("feature", Json::str(schema.feature(idx).name())),
-                    ("index", Json::Num(idx as f64)),
-                    ("score", Json::from_f32(score)),
-                ])
-            })
-        })
-        .collect();
-    Json::obj(vec![
-        ("model_version", Json::Num(d.model_version as f64)),
-        ("top_cause", Json::str(d.top_cause.name())),
-        ("w_unknown", Json::from_f32(d.ranking.w_unknown)),
-        ("top", Json::Arr(top)),
-        (
-            "scores",
-            Json::Arr(
-                d.ranking
-                    .scores
-                    .iter()
-                    .map(|&s| Json::from_f32(s))
-                    .collect(),
-            ),
-        ),
-        (
-            "coarse",
-            Json::Arr(
-                d.ranking
-                    .coarse
-                    .iter()
-                    .map(|&s| Json::from_f32(s))
-                    .collect(),
-            ),
-        ),
-    ])
+        .filter_map(|idx| Some((idx, *d.ranking.scores.get(idx)?, name_of(idx)?)));
+    for (i, (idx, score, name)) in top.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"feature\":");
+        write_string(out, &name);
+        let _ = write!(out, ",\"index\":{},\"score\":", idx as f64);
+        write_f32(out, score);
+        out.push('}');
+    }
+    out.push_str("],\"scores\":");
+    write_f32_array(out, &d.ranking.scores);
+    out.push_str(",\"coarse\":");
+    write_f32_array(out, &d.ranking.coarse);
+    out.push('}');
 }
 
 fn diagnose_error_json(e: &DiagnoseError) -> Json {
@@ -428,4 +461,155 @@ pub fn handle_generations(state: &AppState) -> Response {
 pub fn handle_metrics(state: &AppState) -> Response {
     let text = state.service.metrics_snapshot().render_prometheus();
     Response::text(200, "text/plain; version=0.0.4", text)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use diagnet::ranking::CauseRanking;
+    use diagnet_nn::rng::SplitMix64;
+
+    /// The tree the diagnose replies were rendered from before the writer
+    /// existed, kept as the reference the writer's bytes are checked
+    /// against.
+    fn reference_diagnosis_json(
+        d: &Diagnosis,
+        top_k: usize,
+        name_of: &impl Fn(usize) -> Option<String>,
+    ) -> Json {
+        let top = d
+            .ranking
+            .top(top_k)
+            .into_iter()
+            .filter_map(|idx| {
+                let score = d.ranking.scores.get(idx).copied()?;
+                name_of(idx).map(|name| {
+                    Json::obj(vec![
+                        ("feature", Json::str(name)),
+                        ("index", Json::Num(idx as f64)),
+                        ("score", Json::from_f32(score)),
+                    ])
+                })
+            })
+            .collect();
+        let floats =
+            |values: &[f32]| Json::Arr(values.iter().map(|&v| Json::from_f32(v)).collect());
+        Json::obj(vec![
+            ("model_version", Json::Num(d.model_version as f64)),
+            ("top_cause", Json::str(d.top_cause.name())),
+            ("w_unknown", Json::from_f32(d.ranking.w_unknown)),
+            ("top", Json::Arr(top)),
+            ("scores", floats(&d.ranking.scores)),
+            ("coarse", floats(&d.ranking.coarse)),
+        ])
+    }
+
+    /// A score as diagnoses carry them, or — one time in eight — any bit
+    /// pattern at all except NaN (`CauseRanking::top` needs a total order).
+    fn arbitrary_score(rng: &mut SplitMix64) -> f32 {
+        match rng.next_below(8) {
+            0 => {
+                let v = f32::from_bits(rng.next_u64() as u32);
+                if v.is_nan() {
+                    f32::NEG_INFINITY
+                } else {
+                    v
+                }
+            }
+            1 => 0.0,
+            _ => rng.next_f32() * rng.next_f32(),
+        }
+    }
+
+    fn arbitrary_diagnosis(rng: &mut SplitMix64, schema: &FeatureSchema) -> Diagnosis {
+        let n_scores = match rng.next_below(4) {
+            0 => rng.next_below(4),
+            1 => schema.n_features() + rng.next_below(6),
+            _ => schema.n_features(),
+        };
+        let n_coarse = if rng.bernoulli(0.2) { 0 } else { 7 };
+        Diagnosis {
+            ranking: CauseRanking {
+                scores: (0..n_scores).map(|_| arbitrary_score(rng)).collect(),
+                coarse: (0..n_coarse).map(|_| arbitrary_score(rng)).collect(),
+                w_unknown: if rng.bernoulli(0.1) {
+                    f32::NAN
+                } else {
+                    arbitrary_score(rng)
+                },
+            },
+            top_cause: schema.feature(rng.next_below(schema.n_features())),
+            model_version: match rng.next_below(3) {
+                0 => rng.next_u64(),
+                _ => rng.next_below(1000) as u64,
+            },
+        }
+    }
+
+    /// Names that need every escape `write_string` knows.
+    fn hostile_names(idx: usize) -> Option<String> {
+        (idx < 50).then(|| format!("we\"ird\\{idx}\n\t\u{1}\u{263A}/name"))
+    }
+
+    #[test]
+    fn written_replies_equal_the_rendered_tree_byte_for_byte() {
+        let schema = FeatureSchema::full();
+        let n = schema.n_features();
+        let mut rng = SplitMix64::new(0xD1A6);
+        let mut saw = [false; 4]; // null score, empty top, filtered top, escapes
+        for case in 0..1500 {
+            let d = arbitrary_diagnosis(&mut rng, &schema);
+            let top_k = [0, 1, DEFAULT_TOP_K, n, n + 7][rng.next_below(5)];
+            let hostile = rng.bernoulli(0.25);
+            let mut written = String::new();
+            let reference = if hostile {
+                write_diagnosis(&mut written, &d, top_k, &hostile_names);
+                reference_diagnosis_json(&d, top_k, &hostile_names)
+            } else {
+                write_diagnosis(&mut written, &d, top_k, &schema_names(&schema));
+                reference_diagnosis_json(&d, top_k, &schema_names(&schema))
+            };
+            assert_eq!(written, reference.render(), "case {case}: {d:?}");
+            assert_eq!(
+                Json::parse(&written).as_ref(),
+                Ok(&reference),
+                "case {case}"
+            );
+            saw[0] |= d.ranking.scores.iter().any(|s| !s.is_finite());
+            saw[1] |= written.contains("\"top\":[]");
+            saw[2] |= top_k > n && d.ranking.scores.len() > n;
+            saw[3] |= hostile && written.contains("\\u0001");
+        }
+        assert_eq!(saw, [true; 4], "the generator must reach every edge");
+    }
+
+    #[test]
+    fn written_batches_equal_the_rendered_tree_byte_for_byte() {
+        let schema = FeatureSchema::full();
+        let names = schema_names(&schema);
+        let mut rng = SplitMix64::new(0xBA7C);
+        for case in 0..200 {
+            let results: Vec<Result<Diagnosis, DiagnoseError>> = (0..rng.next_below(9))
+                .map(|_| match rng.next_below(6) {
+                    0 => Err(DiagnoseError::InvalidProbe(RejectReason::WidthMismatch)),
+                    1 => Err(DiagnoseError::InvalidProbe(RejectReason::NonFinite)),
+                    2 => Err(DiagnoseError::NonFiniteScores {
+                        model_version: rng.next_below(50) as u64,
+                    }),
+                    _ => Ok(arbitrary_diagnosis(&mut rng, &schema)),
+                })
+                .collect();
+            let items = results
+                .iter()
+                .map(|r| match r {
+                    Ok(d) => reference_diagnosis_json(d, DEFAULT_TOP_K, &names),
+                    Err(e) => diagnose_error_json(e),
+                })
+                .collect();
+            let reference = Json::obj(vec![("results", Json::Arr(items))]).render();
+            let mut written = String::new();
+            write_batch(&mut written, &results, DEFAULT_TOP_K, &names);
+            assert_eq!(written, reference, "case {case}");
+        }
+    }
 }

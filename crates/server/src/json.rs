@@ -10,7 +10,10 @@
 //! round-trip over the wire must be bit-identical (the end-to-end suite
 //! asserts it). [`Json::from_f32`] goes through Rust's shortest-roundtrip
 //! decimal formatting, whose parse back through `f64` re-rounds to the
-//! exact original `f32`.
+//! exact original `f32`. Rendering that `f64` prints the digits the `f32`
+//! started from, so the diagnose replies skip the tree and the detour:
+//! the crate-private `write_f32` puts the same bytes straight into the
+//! body.
 
 use std::fmt;
 
@@ -222,7 +225,20 @@ fn write_num(out: &mut String, v: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Append `v` exactly as [`Json::from_f32`]`(v).render()` would print it:
+/// `Display` of a finite `f32` and of the `f64` parsed back from that text
+/// are the same shortest decimal (pinned over sampled bit patterns by the
+/// tests below), and a non-finite value is `null`.
+pub(crate) fn write_f32(out: &mut String, v: f32) {
+    if v.is_finite() {
+        let _ = fmt::Write::write_fmt(out, format_args!("{v}"));
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Append `s` as a quoted, escaped JSON string.
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -520,6 +536,62 @@ mod tests {
             assert_eq!(parsed.to_bits(), x.to_bits(), "{x} via `{rendered}`");
         }
         assert_eq!(Json::from_f32(f32::NAN), Json::Null);
+    }
+
+    /// What [`write_f32`] rests on: `Display` of an `f32` and `Display` of
+    /// the `f64` parsed from that text print the same bytes, so writing the
+    /// `f32` directly is what `from_f32(v).render()` always produced.
+    #[test]
+    fn f32_display_survives_the_f64_detour_byte_for_byte() {
+        let check = |v: f32| {
+            let direct = format!("{v}");
+            let detour = format!("{}", direct.parse::<f64>().unwrap());
+            assert_eq!(direct, detour, "bits {:#010x}", v.to_bits());
+            let mut written = String::new();
+            write_f32(&mut written, v);
+            assert_eq!(written, Json::from_f32(v).render());
+            assert_eq!(
+                (written.parse::<f64>().unwrap() as f32).to_bits(),
+                v.to_bits()
+            );
+        };
+        for v in [
+            0.0,
+            -0.0,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::EPSILON,
+            f32::from_bits(1),           // smallest subnormal
+            f32::from_bits(0x007f_ffff), // largest subnormal
+            f32::from_bits(0x8000_0001),
+            1.0e-7,
+            16_777_216.0,
+            1.0e21,
+        ] {
+            check(v);
+        }
+        // Every 4099th bit pattern (1.05 M, both signs, every exponent,
+        // subnormals included), then a seeded spray over the rest.
+        for bits in (0..=u32::MAX).step_by(4099) {
+            let v = f32::from_bits(bits);
+            if v.is_finite() {
+                check(v);
+            }
+        }
+        let mut rng = diagnet_nn::rng::SplitMix64::new(0x5EED_F32D);
+        for _ in 0..200_000 {
+            let v = f32::from_bits(rng.next_u64() as u32);
+            if v.is_finite() {
+                check(v);
+            }
+        }
+        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut written = String::new();
+            write_f32(&mut written, v);
+            assert_eq!(written, "null");
+        }
     }
 
     #[test]
