@@ -24,6 +24,11 @@
 //!
 //! Results are printed as aligned text tables and appended as JSON lines
 //! to `target/experiments/<name>.jsonl` for machine consumption.
+//!
+//! This crate measures accuracy, not speed: every speed number comes from
+//! the benchmark at the repository root (`benchmark/README.md`). The one
+//! exception is the `scale` binary, a non-gated diagnostic of streaming
+//! throughput and peak memory at a million probes (`BENCH_scale.json`).
 
 pub mod experiments;
 pub mod harness;

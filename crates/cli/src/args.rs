@@ -37,8 +37,6 @@ pub enum Command {
     Metrics,
     /// Serve the analysis service over HTTP (see SERVING.md).
     Serve,
-    /// Load-test a running serving edge and report latency percentiles.
-    Bench,
     /// Print usage.
     Help,
 }
@@ -56,7 +54,6 @@ impl Command {
             "info" => Command::Info,
             "metrics" => Command::Metrics,
             "serve" => Command::Serve,
-            "bench" => Command::Bench,
             "help" | "--help" | "-h" => Command::Help,
             _ => return None,
         })
@@ -191,14 +188,6 @@ COMMANDS:
                 retrained generations for a `--canary-window`-request
                 observation before promotion, auto-rolling back degraded
                 candidates
-    bench       [--url U=127.0.0.1:8080] [--mode closed|open=closed]
-                [--rate RPS] [--concurrency N=4] [--duration-s D=10]
-                [--warmup-s W=2] [--diagnose-frac F=0.5] [--batch-frac F=0.1]
-                [--batch-size N=16] [--corrupt-frac F=0.02] [--seed S=42]
-                [--scenarios N=10] [--connect-timeout-s T=10] [--out FILE]
-                drive a serving edge with a seeded probe mix and report
-                per-route throughput and p50/p95/p99 (see EXPERIMENTS.md);
-                `--out` writes the full BENCH_serving.json report
     help        this text
 
 `--backend` selects which model family `train` fits; on `diagnose`,
@@ -235,7 +224,13 @@ mod tests {
 
     #[test]
     fn unknown_command_rejected() {
-        assert!(parse(&s(&["frobnicate"])).is_err());
+        // `bench` was a subcommand once: a stale script gets exit 2 and
+        // the usage text, like any other unknown word.
+        for word in ["frobnicate", "bench"] {
+            let err = parse(&s(&[word, "--url", "127.0.0.1:8080"])).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{word}: {err}");
+            assert!(err.to_string().contains("unknown command"), "{err}");
+        }
     }
 
     #[test]

@@ -39,7 +39,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         Command::Info => info(args),
         Command::Metrics => metrics(args),
         Command::Serve => crate::serve::serve(args),
-        Command::Bench => crate::serve::bench(args),
     }
 }
 

@@ -12,7 +12,6 @@
 //! diagnet evaluate  --model model.json --data dataset.json [--k 5]
 //! diagnet info      --model model.json
 //! diagnet serve     --addr 127.0.0.1:8080 --workers 4
-//! diagnet bench     --url 127.0.0.1:8080 --mode open --rate 200
 //! ```
 //!
 //! Datasets and models are interchanged as JSON, so pipelines can be

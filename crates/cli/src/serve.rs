@@ -1,6 +1,5 @@
-//! The `diagnet serve` and `diagnet bench` subcommands: the network
-//! serving edge and the load generator that drives it (operator guide:
-//! `SERVING.md`).
+//! The `diagnet serve` subcommand: the network serving edge (operator
+//! guide: `SERVING.md`).
 //!
 //! `serve` stands up an [`AnalysisService`] behind `diagnet-server`'s
 //! HTTP edge. The model comes from `--model FILE` (a trained artefact,
@@ -8,24 +7,17 @@
 //! or — the default — from a seeded in-process bootstrap: generate
 //! `--scenarios` worth of simulator data, submit it through admission,
 //! and train one generation before binding workers to traffic.
-//!
-//! `bench` wraps `diagnet-bencher`: closed- or open-loop load with a
-//! seeded probe mix, summarised to stdout and optionally written as the
-//! `BENCH_serving.json` document (`--out`; field reference in
-//! `EXPERIMENTS.md`).
 
 use crate::args::Args;
 use crate::error::CliError;
 use diagnet::backend::BackendKind;
 use diagnet::config::DiagNetConfig;
 use diagnet::integrity::render_checksum;
-use diagnet_bencher::{BenchConfig, BenchError, Mix, Mode};
 use diagnet_platform::service::{AnalysisService, ServiceConfig};
 use diagnet_platform::{JsonCodec, ModelStore, RolloutConfig};
 use diagnet_server::{AppState, Server, ServerConfig};
 use diagnet_sim::dataset::{Dataset, DatasetConfig};
 use diagnet_sim::world::World;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -194,7 +186,7 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
     let addr = server.local_addr();
 
     // The banner goes straight to stdout: the command blocks from here on
-    // and scripts (CI's serving-smoke job) wait for this line.
+    // and scripts wait for this line.
     println!(
         "diagnet-server listening on {addr} ({} workers, backlog {})",
         config.workers, config.backlog
@@ -243,71 +235,13 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
     }
 }
 
-/// `diagnet bench`: drive a serving edge over TCP and summarise.
-pub fn bench(args: &Args) -> Result<String, CliError> {
-    let addr = args
-        .get("url")
-        .unwrap_or("127.0.0.1:8080")
-        .trim_start_matches("http://")
-        .trim_end_matches('/')
-        .to_string();
-    let mode = match (args.get("mode").unwrap_or("closed"), args.get("rate")) {
-        ("closed", None) => Mode::Closed,
-        ("closed", Some(_)) => {
-            return Err(CliError::usage("`--rate` only applies to `--mode open`"));
-        }
-        ("open", _) => Mode::Open {
-            rate: args.get_or("rate", 0.0)?,
-        },
-        (other, _) => {
-            return Err(CliError::usage(format!(
-                "unknown mode `{other}` (expected `closed` or `open`)"
-            )));
-        }
-    };
-    let config = BenchConfig {
-        addr,
-        mode,
-        concurrency: args.get_or("concurrency", 4)?,
-        duration: Duration::from_secs_f64(args.get_or("duration-s", 10.0)?),
-        warmup: Duration::from_secs_f64(args.get_or("warmup-s", 2.0)?),
-        mix: Mix {
-            diagnose_frac: args.get_or("diagnose-frac", 0.5)?,
-            batch_frac: args.get_or("batch-frac", 0.1)?,
-            corrupt_frac: args.get_or("corrupt-frac", 0.02)?,
-        },
-        batch_size: args.get_or("batch-size", 16)?,
-        seed: args.get_or("seed", 42)?,
-        scenarios: args.get_or("scenarios", 10)?,
-        connect_timeout: Duration::from_secs_f64(args.get_or("connect-timeout-s", 10.0)?),
-        request_timeout: Duration::from_secs(10),
-    };
-    let report = diagnet_bencher::run(&config).map_err(|e| match e {
-        BenchError::Config(msg) => CliError::usage(msg),
-        BenchError::Sim(sim) => CliError::from(sim),
-        BenchError::Connect(msg) => CliError::Data {
-            action: "reach",
-            path: config.addr.clone(),
-            detail: msg,
-        },
-    })?;
-
-    let mut out = report.summary();
-    if let Some(path) = args.get("out") {
-        std::fs::write(path, report.json.render_pretty()).map_err(|e| CliError::Io {
-            action: "create",
-            path: path.to_string(),
-            source: e,
-        })?;
-        let _ = writeln!(out, "report written to {path}");
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::args::parse;
+    use diagnet_server::Json;
+    use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpStream};
 
     fn run_line(parts: &[&str]) -> Result<String, CliError> {
         let raw: Vec<String> = parts.iter().map(|p| p.to_string()).collect();
@@ -333,91 +267,61 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bench_flag_validation() {
-        for bad in [
-            vec!["bench", "--mode", "sideways"],
-            vec!["bench", "--mode", "open"], // rate missing → 0.0 → invalid
-            vec!["bench", "--rate", "100"],  // rate without open mode
-            vec!["bench", "--concurrency", "0"],
-            vec!["bench", "--diagnose-frac", "1.5"],
-            vec!["bench", "--duration-s", "0"],
-        ] {
-            let err = run_line(&bad).unwrap_err();
-            assert_eq!(err.exit_code(), 2, "{bad:?} should be a usage error");
-        }
+    /// One `Connection: close` exchange over a raw socket: `(status, body)`.
+    fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let request = format!(
+            "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        let (head, body) = reply.split_once("\r\n\r\n").unwrap();
+        let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+        (status, body.to_string())
     }
 
+    /// `build_state` → `server_config` → `Server::start` answer over a real
+    /// TCP socket: the CLI's own end-to-end smoke (the deeper protocol
+    /// assertions live in `crates/server/tests/e2e.rs`).
     #[test]
-    fn bench_against_dead_port_is_an_environment_error() {
-        // Port 1 on localhost: nothing listens there.
-        let err = run_line(&[
-            "bench",
-            "--url",
-            "127.0.0.1:1",
-            "--duration-s",
-            "0.2",
-            "--warmup-s",
-            "0",
-            "--connect-timeout-s",
-            "0.2",
-            "--scenarios",
-            "1",
-        ])
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 1, "{err}");
-        assert!(err.to_string().contains("cannot reach"), "{err}");
-    }
-
-    /// Full in-process serve → bench round trip over a real TCP socket:
-    /// the CLI's own end-to-end smoke (the deeper protocol assertions
-    /// live in `crates/server/tests/e2e.rs`).
-    #[test]
-    fn serve_and_bench_end_to_end() {
-        // Ephemeral port: bind the edge directly (the `serve` command's
-        // own plumbing is covered by `server_config` + `build_state`).
-        let args = parse(
-            &[
-                "serve",
-                "--scenarios",
-                "4",
-                "--config",
-                "smoke",
-                "--seed",
-                "7",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-        )
-        .unwrap();
+    fn serve_bootstrap_answers_over_tcp() {
+        let line = "serve --scenarios 4 --config smoke --seed 7";
+        let args = parse(&line.split(' ').map(String::from).collect::<Vec<_>>()).unwrap();
         let (state, provenance) = build_state(&args).unwrap();
         assert!(provenance.contains("bootstrapped from"), "{provenance}");
         let mut config = server_config(&args).unwrap();
         config.addr = "127.0.0.1:0".to_string();
         let mut server = Server::start(config, state).unwrap();
-        let addr = server.local_addr().to_string();
+        let addr = server.local_addr();
 
-        let out = run_line(&[
-            "bench",
-            "--url",
-            &addr,
-            "--duration-s",
-            "1",
-            "--warmup-s",
-            "0.2",
-            "--concurrency",
-            "2",
-            "--scenarios",
-            "2",
-            "--corrupt-frac",
-            "0.2",
-            "--seed",
-            "3",
+        let (status, body) = http(addr, "GET", "/healthz", "");
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"state\":\"serving\""), "{body}");
+
+        // The first sample the bootstrap trained on (same world, scenarios, seed).
+        let world = World::new();
+        let dataset = Dataset::generate(&world, &DatasetConfig::standard(&world, 4, 7)).unwrap();
+        let sample = &dataset.samples[0];
+        let features = sample.features.iter().map(|&v| Json::from_f32(v)).collect();
+        let probe = Json::obj(vec![
+            ("features", Json::Arr(features)),
+            ("service", Json::Num(sample.service.0 as f64)),
         ])
-        .unwrap();
-        assert!(out.contains("requests in the measured window"), "{out}");
-        assert!(out.contains("p99"), "{out}");
+        .render();
+        let (status, body) = http(addr, "POST", "/v1/diagnose", &probe);
+        assert_eq!(status, 200, "{body}");
+        let scores = Json::parse(&body).unwrap();
+        let scores = scores.get("scores").and_then(Json::as_arr).unwrap();
+        assert!(!scores.is_empty(), "{body}");
+
+        let (status, body) = http(addr, "POST", "/v1/diagnose", &probe[..probe.len() / 2]);
+        assert_eq!(status, 400, "{body}");
         server.shutdown();
     }
 }

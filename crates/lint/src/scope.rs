@@ -190,8 +190,8 @@ mod tests {
         assert!(in_panic_scope("crates/platform/src/rollout.rs"));
         assert!(!in_panic_scope("crates/platform/src/chaos.rs"));
         assert!(!in_panic_scope("crates/core/src/model.rs"));
-        assert!(!in_panic_scope("crates/bench/src/bin/hotpath.rs"));
-        assert!(!in_panic_scope("crates/bencher/src/run.rs"));
+        assert!(!in_panic_scope("crates/bench/src/bin/scale.rs"));
+        assert!(!in_panic_scope("crates/cli/src/serve.rs"));
     }
 
     #[test]
@@ -200,7 +200,7 @@ mod tests {
         assert!(in_hash_scope("crates/obs/src/registry.rs"));
         assert!(in_hash_scope("crates/server/src/api.rs"));
         assert!(!in_hash_scope("crates/cli/src/args.rs"));
-        assert!(!in_hash_scope("crates/bencher/src/stats.rs"));
+        assert!(!in_hash_scope("crates/bench/src/harness.rs"));
         assert!(!in_hash_scope("crates/bench/src/lib.rs"));
         assert!(!in_hash_scope("crates/lint/src/lexer.rs"));
         assert!(!in_hash_scope("crates/examples-crate/src/lib.rs"));

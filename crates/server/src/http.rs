@@ -3,11 +3,13 @@
 //! Only what the serving edge needs: request line + headers + an optional
 //! `Content-Length` body, keep-alive semantics, and hard caps on header and
 //! body sizes so a misbehaving client cannot balloon memory. Chunked
-//! transfer encoding is deliberately unsupported (411 tells the client to
-//! send a length); the bencher and any Prometheus scraper both speak plain
+//! transfer encoding is deliberately unsupported: a request that carries
+//! `Transfer-Encoding`, or two `Content-Length` headers that disagree, is
+//! refused with 400 rather than framed by a guess, and a `POST` with neither
+//! gets 411. Load generators and Prometheus scrapers speak plain
 //! `Content-Length` requests.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Cap on the request line plus all headers combined.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -107,10 +109,22 @@ pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Reques
         headers.push((name, value));
     }
 
-    let content_length = headers
+    // The body is framed by one `Content-Length` and nothing else: a second
+    // framing the edge would ignore is how a request gets smuggled past a
+    // proxy that honours the other one.
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(ReadError::Malformed("Transfer-Encoding is not supported"));
+    }
+    let mut lengths = headers
         .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.parse::<usize>())
+        .filter(|(k, _)| k == "content-length")
+        .map(|(_, v)| v.as_str());
+    let declared = lengths.next();
+    if lengths.any(|other| Some(other) != declared) {
+        return Err(ReadError::Malformed("conflicting Content-Length headers"));
+    }
+    let content_length = declared
+        .map(str::parse::<usize>)
         .transpose()
         .map_err(|_| ReadError::Malformed("unparseable Content-Length"))?;
 
@@ -145,10 +159,17 @@ fn io_read_error(e: std::io::Error) -> ReadError {
     }
 }
 
-/// Read one CRLF-terminated line, enforcing the head-size cap.
+/// Read one CRLF-terminated line, enforcing the head-size cap: at most one
+/// byte past what is left of the cap is ever buffered, however long the
+/// client keeps sending without a newline.
 fn read_line(stream: &mut impl BufRead, head_bytes: &mut usize) -> Result<String, ReadError> {
+    let budget = MAX_HEAD_BYTES.saturating_sub(*head_bytes) + 1;
     let mut raw = Vec::new();
-    let n = stream.read_until(b'\n', &mut raw).map_err(io_read_error)?;
+    let n = stream
+        .by_ref()
+        .take(budget as u64)
+        .read_until(b'\n', &mut raw)
+        .map_err(io_read_error)?;
     *head_bytes += n;
     if *head_bytes > MAX_HEAD_BYTES {
         return Err(ReadError::Malformed("request head too large"));
@@ -302,6 +323,70 @@ mod tests {
         ));
         let huge = format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", "a".repeat(20_000));
         assert!(matches!(read(&huge), Err(ReadError::Malformed(_))));
+    }
+
+    /// A client that never sends a newline costs the cap, not the deadline.
+    #[test]
+    fn newline_free_head_is_cut_off_at_the_cap() {
+        /// Counts what the parser takes out of the stream.
+        struct Counting<'a> {
+            inner: &'a [u8],
+            consumed: usize,
+        }
+        impl std::io::Read for Counting<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.inner.read(buf)?;
+                self.consumed += n;
+                Ok(n)
+            }
+        }
+        impl BufRead for Counting<'_> {
+            fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+                Ok(self.inner)
+            }
+            fn consume(&mut self, n: usize) {
+                self.consumed += n;
+                self.inner.consume(n);
+            }
+        }
+        let start = "GET / HTTP/1.1\r\nX: ";
+        let raw = format!("{start}{}", "a".repeat(1 << 20));
+        let mut stream = Counting {
+            inner: raw.as_bytes(),
+            consumed: 0,
+        };
+        assert_eq!(
+            read_request(&mut stream, 1024).unwrap_err(),
+            ReadError::Malformed("request head too large")
+        );
+        assert!(
+            stream.consumed <= MAX_HEAD_BYTES + 1,
+            "{} bytes taken off the wire",
+            stream.consumed
+        );
+        // A head of exactly the cap still parses.
+        let padding = MAX_HEAD_BYTES - start.len() - "\r\n\r\n".len();
+        let at_cap = format!("{start}{}\r\n\r\n", "a".repeat(padding));
+        assert_eq!(at_cap.len(), MAX_HEAD_BYTES);
+        assert!(read(&at_cap).is_ok());
+        assert!(read(&at_cap.replacen("X: ", "X: a", 1)).is_err());
+    }
+
+    #[test]
+    fn ambiguous_body_framing_is_rejected() {
+        for smuggle in [
+            "POST /v1/submit HTTP/1.1\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n{}",
+            "POST /v1/submit HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+            "POST /v1/submit HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\n{}{}",
+        ] {
+            assert!(
+                matches!(read(smuggle), Err(ReadError::Malformed(_))),
+                "{smuggle:?}"
+            );
+        }
+        // The same length stated twice is merely redundant.
+        let twice = "POST /v1/submit HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}";
+        assert_eq!(read(twice).unwrap().body, b"{}");
     }
 
     #[test]

@@ -147,20 +147,11 @@ impl Json {
     /// Render compactly (no whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write(&mut out);
         out
     }
 
-    /// Render with 2-space indentation (committed artefacts stay
-    /// diff-friendly).
-    pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
+    fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -173,11 +164,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline_indent(out, indent, level + 1);
-                    item.write(out, indent, level + 1);
-                }
-                if !items.is_empty() {
-                    newline_indent(out, indent, level);
+                    item.write(out);
                 }
                 out.push(']');
             }
@@ -187,28 +174,12 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline_indent(out, indent, level + 1);
                     write_string(out, k);
                     out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, level + 1);
-                }
-                if !pairs.is_empty() {
-                    newline_indent(out, indent, level);
+                    v.write(out);
                 }
                 out.push('}');
             }
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..level * width {
-            out.push(' ');
         }
     }
 }
@@ -603,9 +574,9 @@ mod tests {
         let compact = v.render();
         assert_eq!(compact, r#"{"b":2,"a":[false,null]}"#);
         assert_eq!(Json::parse(&compact).unwrap(), v);
-        let pretty = v.render_pretty();
-        assert!(pretty.contains("\n  \"b\": 2"), "{pretty}");
-        assert_eq!(Json::parse(&pretty).unwrap(), v);
+        // Clients may indent: whitespace between tokens is skipped.
+        let indented = "{\n  \"b\": 2,\n  \"a\": [\n    false,\n    null\n  ]\n}\n";
+        assert_eq!(Json::parse(indented).unwrap(), v);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! in-process API, backpressure (shed → 429), health (degraded → 503),
 //! protocol errors, keep-alive and graceful shutdown.
 //!
-//! The client below is deliberately minimal and independent of
-//! `diagnet-bencher`, so a bug cannot hide on both sides of the wire.
+//! The client below is deliberately minimal and independent of the
+//! benchmark's load generator (`benchmark/src/client.rs`), so a bug cannot
+//! hide on both sides of the wire.
 
 use diagnet::backend::BackendKind;
 use diagnet::config::DiagNetConfig;
