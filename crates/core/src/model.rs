@@ -51,12 +51,16 @@ pub struct DiagNet {
     pub auxiliary: ExtensibleForest,
     /// Training curves (paper Fig. 9).
     pub history: TrainHistory,
-    /// `network`'s transposed Dense weights for the attention backward
-    /// (those under the plan's width cap), built by the first ranking call
-    /// and valid while `network` is left alone. The model owns it (not the per-thread workspace) so models
-    /// alternating on one thread — canary and baseline — each keep theirs.
-    /// `network` is a `pub` field: debug builds check the plan against the
-    /// live weights on every use, release builds trust it.
+    /// `network`'s transposed Dense weights — all of them, a second copy of
+    /// the Dense parameters — for the attention backward, built by the
+    /// first ranking call (in the platform that is the health probe of
+    /// [`Backend::validate`](crate::backend::Backend::validate) before
+    /// publish or after decode, never a client's request) and valid while
+    /// `network` is left alone. The model owns it (not the per-thread
+    /// workspace) so models alternating on one thread — canary and
+    /// baseline — each keep theirs. `network` is a `pub` field: debug
+    /// builds check the plan against the live weights on every use,
+    /// release builds trust it.
     #[serde(skip)]
     plan: OnceLock<InputGradPlan>,
 }
@@ -402,7 +406,8 @@ impl DiagNet {
     }
 
     /// Stage 3: ideal-label backward to the input through the model's
-    /// [`InputGradPlan`] (built here on first use), then Eq. 1 per row.
+    /// [`InputGradPlan`] (built here on first use) — one product per Dense
+    /// layer, no transpose — then Eq. 1 per row.
     fn attention_backward_stage(&self, ws: &mut ScoringWorkspace) {
         let SaliencyWorkspace { fws, bws } = &mut ws.saliency;
         let plan = self.plan.get_or_init(|| self.network.input_grad_plan());
@@ -840,6 +845,21 @@ mod tests {
         for (row, b) in rows.iter().zip(special.rank_causes_batch(&rows, &full)) {
             assert_eq!(special.rank_causes(row, &full), b);
         }
+    }
+
+    /// The plan is built by the health probe every publish and every store
+    /// decode runs, not by whichever client asks first: once `validate`
+    /// has returned `Ok` the model holds a plan of its own weights.
+    #[test]
+    fn validate_leaves_the_plan_built() {
+        use crate::backend::Backend;
+        let (_, _, _, model) = trained_fast();
+        let fresh = DiagNet {
+            plan: OnceLock::new(),
+            ..model.clone()
+        };
+        fresh.validate().expect("healthy model");
+        assert!(fresh.plan.get().is_some_and(|p| p.matches(&fresh.network)));
     }
 
     /// `network` is a public field, so nothing stops a caller editing a

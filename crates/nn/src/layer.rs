@@ -491,9 +491,8 @@ impl Layer {
     ///
     /// `dense_wt` is this layer's `Wᵀ` from an
     /// [`InputGradPlan`](crate::network::InputGradPlan) when the weights
-    /// are frozen (serving); `None` (training, where `W` moves every step,
-    /// or a layer wider than the plan's cap) transposes into `scratch` on
-    /// each call. Ignored by ReLU and LandPool.
+    /// are frozen (serving); `None` (training, where `W` moves every step)
+    /// transposes into `scratch` on each call. Ignored by ReLU and LandPool.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_into(
         &self,

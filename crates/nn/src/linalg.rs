@@ -14,12 +14,10 @@
 //! faster than [`matmul_bt`]'s dot products. Who owns that `Wᵀ` depends on
 //! whether the weights still move: for frozen weights (a published model
 //! being served) an [`InputGradPlan`](crate::network::InputGradPlan)
-//! holds one `Wᵀ` per Dense layer up to
-//! [`PLAN_MAX_WEIGHTS`](crate::network::PLAN_MAX_WEIGHTS), built once per
-//! model; for training, where `W` changes every step, and for the wider
-//! layers the plan leaves out, [`transpose_into`] rebuilds it in the
-//! backward scratch on every call. Both feed the same kernel the same
-//! bytes.
+//! holds one `Wᵀ` per Dense layer, built once per model, and a backward
+//! pass is one [`matmul_into`] per layer; for training, where `W` changes
+//! every step, [`transpose_into`] rebuilds it in the backward scratch on
+//! every call. Both feed the same kernel the same bytes.
 //!
 //! Every kernel also exists as a `*_into` variant ([`matmul_into`],
 //! [`matmul_bt_into`], [`matmul_at_into`], plus the accumulating
@@ -294,7 +292,7 @@ pub fn matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
 }
 
 /// Cache-blocked transpose of `a` into `out` (resized as needed) — the
-/// reusable-buffer flavour of [`Matrix::transpose`].
+/// one transpose of this crate; [`Matrix::transpose`] wraps it.
 ///
 /// A Dense backward without an
 /// [`InputGradPlan`](crate::network::InputGradPlan) (training) uses this
@@ -305,7 +303,8 @@ pub fn matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
 /// serially-dependent dot-product form of [`matmul_bt_into`]. The
 /// transpose is O(in·out) data movement against the O(batch·in·out)
 /// product: cheap beside a training batch, most of a single-row backward,
-/// which is why serving takes `Wᵀ` from the plan instead.
+/// which is why serving builds its plan with it once and never calls it
+/// again.
 // lint: no_alloc
 pub fn transpose_into(a: &Matrix, out: &mut Matrix) {
     let (m, n) = (a.rows(), a.cols());

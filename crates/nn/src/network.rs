@@ -1,7 +1,7 @@
 //! Networks: layer stacks with forward, backward and input-gradient passes.
 
 use crate::error::NnError;
-use crate::layer::{Dense, Layer, LayerCache, LayerGrads};
+use crate::layer::{Layer, LayerCache, LayerGrads};
 use crate::loss::{softmax, softmax_cross_entropy_weighted, softmax_cross_entropy_weighted_into};
 use crate::tensor::Matrix;
 use crate::workspace::{BackwardWorkspace, ForwardWorkspace};
@@ -36,37 +36,19 @@ impl Gradients {
     }
 }
 
-/// The transposed Dense weights (`Wᵀ`, `out × in`) a backward-to-input
-/// pass multiplies by, built once by [`Network::input_grad_plan`] for
-/// weights that no longer change — a published model's. Passed to
-/// [`Network::backward_ws`] it replaces the per-call transpose into scratch
-/// with the same bytes in the same kernel, so gradients are bit-identical
-/// with and without it. Whoever owns the network owns the plan and must
-/// rebuild it when a weight changes; debug builds verify it against the
-/// live weights on every use.
-///
-/// Only Dense layers of at most [`PLAN_MAX_WEIGHTS`] weights get a `Wᵀ`;
-/// a wider one keeps transposing into scratch on every call.
+/// The transposed weights (`Wᵀ`, `out × in`) of every Dense layer, which a
+/// backward-to-input pass multiplies by, built once by
+/// [`Network::input_grad_plan`] for weights that no longer change — a
+/// published model's. Passed to [`Network::backward_ws`] it replaces the
+/// per-call transpose into scratch with the same bytes in the same kernel,
+/// so gradients are bit-identical with and without it. It holds the Dense
+/// weights a second time (≈ 0.9 MB for the paper model). Whoever owns the
+/// network owns the plan and must rebuild it when a weight changes; debug
+/// builds verify it against the live weights on every use.
 #[derive(Debug, Clone)]
 pub struct InputGradPlan {
-    /// `Wᵀ` per layer, `None` for layers without Dense weights and for
-    /// Dense layers over [`PLAN_MAX_WEIGHTS`].
+    /// `Wᵀ` per layer, `Some` exactly at the Dense layers.
     wt: Vec<Option<Matrix>>,
-}
-
-/// Widest Dense layer (in weights) an [`InputGradPlan`] holds a `Wᵀ` for.
-///
-/// A first step, sized on the paper model (Dense 317×512, 512×128, 128×7):
-/// the 512×128 layer is where a per-call transpose hurts most (~175 µs of
-/// a 365 µs single-probe ranking: its 2 KiB destination stride thrashes L1
-/// sets) for the least plan memory (262 KB a model), while the 317×512
-/// layer costs ~120 µs a call and would be 71 % of the plan. Planning it
-/// too takes a single-probe ranking from ~165 µs to ~65 µs; CHANGES.md
-/// (PR 15) says why that is left to the next change.
-pub const PLAN_MAX_WEIGHTS: usize = 100_000;
-
-fn planned(d: &Dense) -> bool {
-    d.w.rows() * d.w.cols() <= PLAN_MAX_WEIGHTS
 }
 
 impl InputGradPlan {
@@ -86,8 +68,7 @@ impl InputGradPlan {
                                 (0..n).all(|j| d.w.get(i, j).to_bits() == wt.get(j, i).to_bits())
                             })
                     }
-                    (None, Layer::Dense(d)) => !planned(d),
-                    (Some(_), _) => false,
+                    (None, Layer::Dense(_)) | (Some(_), _) => false,
                     (None, _) => true,
                 })
     }
@@ -131,16 +112,16 @@ impl Network {
             .sum()
     }
 
-    /// Transpose the weights of every Dense layer of at most
-    /// [`PLAN_MAX_WEIGHTS`] once, for backward-to-input passes over weights
-    /// that stay fixed (see [`InputGradPlan`]).
+    /// Transpose the weights of every Dense layer once, for
+    /// backward-to-input passes over weights that stay fixed (see
+    /// [`InputGradPlan`]).
     pub fn input_grad_plan(&self) -> InputGradPlan {
         InputGradPlan {
             wt: self
                 .layers
                 .iter()
                 .map(|layer| match layer {
-                    Layer::Dense(d) if planned(d) => Some(d.w.transpose()),
+                    Layer::Dense(d) => Some(d.w.transpose()),
                     _ => None,
                 })
                 .collect(),
@@ -178,9 +159,10 @@ impl Network {
     /// [`Network::forward_ws`] on the same `x`. On entry
     /// `bws.grad_logits_mut()` must hold `∂L/∂logits`; on exit
     /// `bws.input_grad()` holds `∂L/∂x`. Parameter gradients are
-    /// accumulated into `grads` when provided. `plan` supplies the Dense
-    /// `Wᵀ`s when the weights are frozen (serving); training passes `None`
-    /// and each Dense layer transposes into `bws`'s scratch per call.
+    /// accumulated into `grads` when provided. `plan` supplies every Dense
+    /// layer's `Wᵀ` when the weights are frozen (serving) and `bws`'s `Wᵀ`
+    /// scratch stays empty; training passes `None` and each Dense layer
+    /// transposes into that scratch per call.
     // lint: no_alloc
     pub fn backward_ws(
         &self,
@@ -702,48 +684,81 @@ mod tests {
         assert!(net.input_grad_plan().matches(&net));
     }
 
-    /// A Dense layer over [`PLAN_MAX_WEIGHTS`] gets no `Wᵀ`: a planned
-    /// pass transposes it into scratch from the live weights while the
-    /// narrower layers read the plan, and the mix is still bit-identical
-    /// to transposing everything — also after the wide layer's weights
-    /// move, which the plan neither holds nor calls stale.
+    /// The paper shape, bare and behind its LandPool: every Dense layer —
+    /// the 317×512 one included — gets a `Wᵀ`, so a planned pass never
+    /// transposes (its scratch `Wᵀ` stays 0×0) and is still bit-identical
+    /// to the transposing one, and an edit to any Dense layer's weights
+    /// makes the plan stale. Row 0 of the wider batches is all zero and
+    /// leaves the first ReLU all zero, as in the test above.
     #[test]
-    fn layers_over_the_plan_cap_keep_transposing() {
+    fn every_dense_layer_is_planned() {
         use crate::workspace::{BackwardWorkspace, ForwardWorkspace};
-        let mut net = Network::new(vec![
+        let mlp = vec![
             Layer::dense(317, 512, 7),
             Layer::relu(),
             Layer::dense(512, 128, 8),
             Layer::relu(),
             Layer::dense(128, 7, 9),
-        ]);
-        let plan = net.input_grad_plan();
-        let held: Vec<bool> = plan.wt.iter().map(Option::is_some).collect();
-        assert_eq!(held, [false, false, true, false, true]);
-        let mut fws = ForwardWorkspace::new(&net);
-        let mut transposing = BackwardWorkspace::new(&net);
-        let mut planned = BackwardWorkspace::new(&net);
-        for (batch, seed) in [(1usize, 61u64), (7, 62)] {
-            let x = random_matrix(batch, 317, seed);
-            let targets: Vec<usize> = (0..batch).map(|i| i % 7).collect();
-            net.forward_ws(&x, &mut fws);
-            let (_, grad_logits) = crate::loss::softmax_cross_entropy(fws.output(), &targets);
-            transposing.grad_logits_mut().copy_from(&grad_logits);
-            net.backward_ws(&x, &fws, None, &mut transposing, None);
-            planned.grad_logits_mut().copy_from(&grad_logits);
-            net.backward_ws(&x, &fws, None, &mut planned, Some(&plan));
-            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(planned.input_grad()),
-                bits(transposing.input_grad()),
-                "batch {batch}"
-            );
-            assert!(planned.input_grad().norm() > 0.0, "batch {batch}");
-            let Layer::Dense(wide) = &mut net.layers[0] else {
+        ];
+        let mut pooled = vec![Layer::land_pool(24, 5, 5, PoolOp::standard_bank(), 6)];
+        pooled.extend(mlp.iter().cloned());
+        for (layers, in_width) in [(mlp, 317), (pooled, 10 * 5 + 5)] {
+            let mut net = Network::new(layers);
+            let is_dense: Vec<bool> = net
+                .layers
+                .iter()
+                .map(|l| matches!(l, Layer::Dense(_)))
+                .collect();
+            let first_dense = is_dense.iter().position(|&d| d).unwrap();
+            let Layer::Dense(first) = &mut net.layers[first_dense] else {
                 panic!()
             };
-            wide.w.set(5, 5, wide.w.get(5, 5) + 0.5);
+            first.b.fill(-0.05);
+            let plan = net.input_grad_plan();
+            let held: Vec<bool> = plan.wt.iter().map(Option::is_some).collect();
+            assert_eq!(held, is_dense);
             assert!(plan.matches(&net));
+
+            let mut fws = ForwardWorkspace::new(&net);
+            let mut transposing = BackwardWorkspace::new(&net);
+            let mut planned = BackwardWorkspace::new(&net);
+            for (batch, seed) in [(1usize, 61u64), (7, 62), (64, 63)] {
+                let mut x = random_matrix(batch, in_width, seed);
+                if batch > 1 {
+                    x.row_mut(0).fill(0.0);
+                }
+                let targets: Vec<usize> = (0..batch).map(|i| i % 7).collect();
+                net.forward_ws(&x, &mut fws);
+                if batch > 1 {
+                    let relu_out = fws.activation(first_dense + 1);
+                    assert!(relu_out.row(0).iter().all(|&v| v == 0.0));
+                }
+                let (_, grad_logits) = crate::loss::softmax_cross_entropy(fws.output(), &targets);
+                transposing.grad_logits_mut().copy_from(&grad_logits);
+                net.backward_ws(&x, &fws, None, &mut transposing, None);
+                planned.grad_logits_mut().copy_from(&grad_logits);
+                net.backward_ws(&x, &fws, None, &mut planned, Some(&plan));
+                let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(planned.input_grad()),
+                    bits(transposing.input_grad()),
+                    "batch {batch}"
+                );
+                assert!(planned.input_grad().norm() > 0.0, "batch {batch}");
+            }
+            let wt = &planned.scratch.wt;
+            assert_eq!((wt.rows(), wt.cols()), (0, 0));
+            assert!(!transposing.scratch.wt.data().is_empty());
+
+            for i in (0..net.layers.len()).filter(|&i| is_dense[i]) {
+                let mut edited = net.clone();
+                let Layer::Dense(d) = &mut edited.layers[i] else {
+                    panic!()
+                };
+                let (r, c) = (d.w.rows() - 1, d.w.cols() / 2);
+                d.w.set(r, c, d.w.get(r, c) + 0.5);
+                assert!(!plan.matches(&edited), "edit to layer {i} went unnoticed");
+            }
         }
     }
 

@@ -201,14 +201,11 @@ impl Matrix {
         out
     }
 
-    /// The transpose of `self`.
+    /// The transpose of `self` (allocating wrapper around
+    /// [`crate::linalg::transpose_into`]).
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        let mut out = Matrix::zeros(0, 0);
+        crate::linalg::transpose_into(self, &mut out);
         out
     }
 
@@ -356,6 +353,26 @@ mod tests {
         assert_eq!(t.rows(), 3);
         assert_eq!(t.get(2, 1), 6.0);
         assert_eq!(t.transpose(), m);
+    }
+
+    /// `transpose` is the tiled kernel behind a wrapper: on shapes that end
+    /// inside a tile, on single rows and columns and on empty matrices it
+    /// must still be the definition, `t[c][r] = m[r][c]`.
+    #[test]
+    fn transpose_matches_its_definition() {
+        for (rows, cols) in [(317, 512), (512, 128), (1, 45), (45, 1), (0, 9), (9, 0)] {
+            let data = (0..rows * cols).map(|i| i as f32 * 0.5 - 7.0).collect();
+            let m = Matrix::from_vec(rows, cols, data);
+            let t = m.transpose();
+            assert_eq!((t.rows(), t.cols()), (cols, rows));
+            let mut expected = vec![0.0f32; rows * cols];
+            for r in 0..rows {
+                for c in 0..cols {
+                    expected[c * rows + r] = m.data()[r * cols + c];
+                }
+            }
+            assert_eq!(t.data(), expected.as_slice(), "{rows}x{cols}");
+        }
     }
 
     #[test]

@@ -156,11 +156,10 @@ pub struct BackwardScratch {
     /// Transposed Dense weights (`Wᵀ`, `out × in`) so `dX = dY · Wᵀ` runs
     /// through the streaming [`crate::linalg::matmul_into`] kernel instead
     /// of the latency-bound dot-product form. Written by every Dense layer
-    /// the pass has no planned `Wᵀ` for, on every call: all of them without
-    /// an [`InputGradPlan`](crate::network::InputGradPlan) — training,
-    /// where `W` moves every step, and the allocating wrappers — and with
-    /// one the layers over its width cap. A pass whose every Dense layer
-    /// is planned leaves it empty.
+    /// of a pass without an
+    /// [`InputGradPlan`](crate::network::InputGradPlan) — training, where
+    /// `W` moves every step, and the allocating wrappers; a pass with one
+    /// never touches it, so it stays empty in a serving worker.
     pub(crate) wt: Matrix,
     /// One pooling scratch per parallel task.
     pub(crate) rows: Vec<PoolRowScratch>,

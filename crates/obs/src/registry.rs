@@ -2,10 +2,10 @@
 //! semantics and point-in-time snapshots.
 //!
 //! Registration takes a write lock; a metric that already exists is
-//! returned under a read lock. Handles ([`Counter`], [`Gauge`],
-//! [`Histogram`]) are cheap clones sharing atomics with the registry, so
-//! hot paths register once (at construction, or behind a `OnceLock`) and
-//! then record lock-free.
+//! returned under a read lock, without allocating. Handles ([`Counter`],
+//! [`Gauge`], [`Histogram`]) are cheap clones sharing atomics with the
+//! registry, so hot paths register once (at construction, or behind a
+//! `OnceLock`) and then record lock-free.
 
 use crate::histogram::Histogram;
 use crate::metrics::{Counter, Gauge};
@@ -26,26 +26,14 @@ use std::sync::RwLock;
 /// Label pairs as passed at registration sites.
 pub type Labels<'a> = &'a [(&'a str, &'a str)];
 
+/// Whether `labels` (in the caller's order) is the sorted, owned label set
+/// `stored`.
 #[cfg(feature = "enabled")]
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct MetricKey {
-    name: String,
-    labels: Vec<(String, String)>,
-}
-
-#[cfg(feature = "enabled")]
-impl MetricKey {
-    fn new(name: &str, labels: Labels<'_>) -> Self {
-        let mut labels: Vec<(String, String)> = labels
+fn same_labels(stored: &[(String, String)], labels: Labels<'_>) -> bool {
+    stored.len() == labels.len()
+        && labels
             .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
-        MetricKey {
-            name: name.to_string(),
-            labels,
-        }
-    }
+            .all(|(k, v)| stored.iter().any(|(sk, sv)| sk == k && sv == v))
 }
 
 #[cfg(feature = "enabled")]
@@ -74,12 +62,18 @@ struct Registered {
     help: String,
 }
 
+/// One metric name's series, keyed by their sorted label pairs.
+#[cfg(feature = "enabled")]
+type Series = BTreeMap<Vec<(String, String)>, Registered>;
+
 /// A collection of named metrics. Most consumers use the process-wide
 /// [`global`] registry; tests that need exact counts create their own.
 #[cfg(feature = "enabled")]
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    inner: RwLock<BTreeMap<MetricKey, Registered>>,
+    /// By metric name, then by labels: iteration is in (name, labels)
+    /// order and a lookup needs no owned key.
+    inner: RwLock<BTreeMap<String, Series>>,
 }
 
 #[cfg(feature = "enabled")]
@@ -96,12 +90,23 @@ impl MetricsRegistry {
         help: &str,
         make: impl FnOnce() -> Entry,
     ) -> Entry {
-        let key = MetricKey::new(name, labels);
-        if let Some(found) = self.inner.read().expect("metrics lock").get(&key) {
-            return found.entry.clone();
+        // A metric that exists is found by comparing the borrowed name and
+        // labels against the stored ones: per-request lookups (every span,
+        // every routed request) allocate nothing.
+        if let Some(series) = self.inner.read().expect("metrics lock").get(name) {
+            if let Some((_, found)) = series.iter().find(|(l, _)| same_labels(l, labels)) {
+                return found.entry.clone();
+            }
         }
+        let mut owned: Vec<(String, String)> = labels
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        owned.sort();
         let mut map = self.inner.write().expect("metrics lock");
-        map.entry(key)
+        map.entry(name.to_string())
+            .or_default()
+            .entry(owned)
             .or_insert_with(|| Registered {
                 entry: make(),
                 help: help.to_string(),
@@ -159,29 +164,31 @@ impl MetricsRegistry {
         let map = self.inner.read().expect("metrics lock");
         let metrics: Vec<MetricSnapshot> = map
             .iter()
-            .map(|(key, reg)| MetricSnapshot {
-                name: key.name.clone(),
-                labels: key.labels.clone(),
-                help: reg.help.clone(),
-                value: match &reg.entry {
-                    Entry::Counter(c) => MetricValue::Counter(c.get()),
-                    Entry::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Entry::Histogram(h) => MetricValue::Histogram(HistogramSnapshot {
-                        bounds: h.core.bounds.clone(),
-                        counts: h
-                            .core
-                            .buckets
-                            .iter()
-                            .map(|b| b.load(Ordering::Relaxed))
-                            .collect(),
-                        count: h.core.count.load(Ordering::Relaxed),
-                        sum: f64::from_bits(h.core.sum_bits.load(Ordering::Relaxed)),
-                    }),
-                },
+            .flat_map(|(name, series)| {
+                series.iter().map(move |(labels, reg)| MetricSnapshot {
+                    name: name.clone(),
+                    labels: labels.clone(),
+                    help: reg.help.clone(),
+                    value: match &reg.entry {
+                        Entry::Counter(c) => MetricValue::Counter(c.get()),
+                        Entry::Gauge(g) => MetricValue::Gauge(g.get()),
+                        Entry::Histogram(h) => MetricValue::Histogram(HistogramSnapshot {
+                            bounds: h.core.bounds.clone(),
+                            counts: h
+                                .core
+                                .buckets
+                                .iter()
+                                .map(|b| b.load(Ordering::Relaxed))
+                                .collect(),
+                            count: h.core.count.load(Ordering::Relaxed),
+                            sum: f64::from_bits(h.core.sum_bits.load(Ordering::Relaxed)),
+                        }),
+                    },
+                })
             })
             .collect();
-        // The map is ordered by (name, labels), so `metrics` comes out
-        // already in deterministic render order.
+        // Both map levels are ordered, so `metrics` comes out already in
+        // deterministic (name, labels) render order.
         Snapshot { metrics }
     }
 }

@@ -9,11 +9,12 @@
 //! {"event":"span","span":"core.rank_causes_batch","seq":17,"duration_us":1234.5}
 //! ```
 //!
-//! The per-span cost is one registry lookup plus two clock reads (≈ a few
-//! hundred nanoseconds), so spans belong around *stages* (a batch forward
-//! pass, a retrain generation), not around per-element inner loops. With
-//! the `enabled` feature off, [`span`] is a no-op that never reads the
-//! clock.
+//! The per-span cost is one registry lookup — a read lock and a few string
+//! comparisons, no allocation once the span's histogram exists — plus two
+//! clock reads, so spans belong around *stages* (a ranking call, a batch
+//! forward pass, a retrain generation), not around per-element inner
+//! loops. With the `enabled` feature off, [`span`] is a no-op that never
+//! reads the clock.
 
 /// Name of the histogram every span records into (label `span` carries
 /// the span name).
@@ -110,5 +111,20 @@ mod tests {
             .histogram(SPAN_HISTOGRAM, &[("span", "obs.test_span")])
             .expect("span histogram registered");
         assert!(hist.count >= 1);
+    }
+
+    /// Every span of one name lands in the one registry entry a direct
+    /// lookup of that name returns (`tests/zero_alloc_scoring.rs` counts
+    /// the allocations of the same loop: none after the first span).
+    #[test]
+    fn repeated_spans_share_one_registry_entry() {
+        for _ in 0..1_001 {
+            drop(span("obs.test_repeat"));
+        }
+        let hist = global().histogram(SPAN_HISTOGRAM, &[("span", "obs.test_repeat")], "ignored");
+        assert_eq!(hist.count(), 1_001);
+        let label = [("span".to_string(), "obs.test_repeat".to_string())];
+        let snap = global().snapshot();
+        assert_eq!(snap.metrics.iter().filter(|m| m.labels == label).count(), 1);
     }
 }

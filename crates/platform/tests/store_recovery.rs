@@ -10,6 +10,10 @@
 //! index into an in-memory envelope table shared across "restarts" (new
 //! `ModelStore::open` calls over the same directory), so recovered models
 //! are exactly the published ones and rankings can be compared bitwise.
+//!
+//! The last test pins what decode-time validation (and the publish gate's)
+//! is also relied on for: it is the ranking call that builds a DiagNet's
+//! transposed-weight plan, so no client request ever pays for that.
 
 use diagnet::backend::{Backend, BackendEnvelope, ForestBackend};
 use diagnet_forest::ForestConfig;
@@ -282,4 +286,90 @@ fn empty_store_recovers_nothing_and_counts_it() {
     assert!(recovered.is_none());
     assert!(skipped.is_empty());
     assert_eq!(recovery_count("empty"), before + 1);
+}
+
+/// Whether a served DiagNet already holds its input-gradient plan. The
+/// plan is private to the model, but a clone carries it along and debug
+/// builds refuse to rank through a plan that no longer matches the
+/// weights — so a clone with one weight edited panics exactly when the
+/// original was planned, and builds a plan of its own when it was not.
+#[cfg(debug_assertions)]
+fn plan_is_built(backend: &dyn Backend) -> bool {
+    let served: &diagnet::model::DiagNet = backend.as_any().downcast_ref().expect("a DiagNet");
+    let mut copy = served.clone();
+    let Some(diagnet_nn::layer::Layer::Dense(head)) = copy.network.layers.last_mut() else {
+        panic!("last layer must be Dense")
+    };
+    head.w.set(0, 0, head.w.get(0, 0) + 1.0);
+    let full = FeatureSchema::full();
+    let probe = vec![0.0f32; full.n_features()];
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        copy.rank_causes(&probe, &full)
+    }))
+    .is_err()
+}
+
+/// The plan (≈ 0.9 MB and three transposes for the paper model) is built
+/// by the health probe — `publish_generation`'s gate, the store's
+/// decode-time `validate` — so the first `diagnose` of a generation finds
+/// it there, on a publish and on a restart alike.
+#[test]
+#[cfg(debug_assertions)]
+fn published_and_recovered_diagnets_are_planned_before_the_first_request() {
+    use diagnet::backend::BackendKind;
+    use diagnet_platform::trainer::{publish_generation, Generation, PendingGeneration};
+    use diagnet_platform::ModelRegistry;
+
+    let world = World::new();
+    let mut data = DatasetConfig::small(&world, 19);
+    data.n_scenarios = 8;
+    let ds = Dataset::generate(&world, &data).expect("generate");
+    let mut config = diagnet::config::DiagNetConfig::fast();
+    config.epochs = 2;
+    config.forest.n_trees = 5;
+    // Trained, never ranked: no plan yet, as after a JSON decode (which
+    // skips the field).
+    let fresh = diagnet::model::DiagNet::train(&config, &ds, 19).expect("train");
+    assert!(!plan_is_built(&fresh));
+
+    let registry = ModelRegistry::new();
+    publish_generation(
+        &registry,
+        PendingGeneration {
+            generation: Generation {
+                backend: BackendKind::DiagNet,
+                general: Arc::new(fresh.clone()),
+                specialized: Default::default(),
+                specialized_ids: Vec::new(),
+            },
+            n_samples: ds.len(),
+            n_faulty: ds.n_faulty(),
+            started: std::time::Instant::now(),
+        },
+    )
+    .expect("a healthy generation publishes");
+    let published = registry.general().expect("published");
+    assert!(plan_is_built(published.as_ref()));
+
+    // The slot codec's envelope is a clone of what `persist` was given, so
+    // the artefact decodes to a model without a plan.
+    let dir = temp_store_dir("planned");
+    let codec: Arc<SlotCodec> = Arc::new(SlotCodec::default());
+    let store =
+        ModelStore::open(&dir, Arc::clone(&codec) as Arc<dyn ArtefactCodec>).expect("open store");
+    store
+        .persist(&fresh, None, "diagnet", GenerationStatus::Active)
+        .expect("persist");
+    drop(store);
+    let reopened =
+        ModelStore::open(&dir, Arc::clone(&codec) as Arc<dyn ArtefactCodec>).expect("reopen store");
+    let (recovered, _) = reopened.recover();
+    let (_, recovered) = recovered.expect("an active generation must recover");
+    assert!(plan_is_built(recovered.as_ref()));
+
+    let schema = FeatureSchema::full();
+    let first = &ds.samples[0].features;
+    let expected = fresh.rank_causes(first, &schema);
+    assert_eq!(published.rank_causes(first, &schema), expected);
+    assert_eq!(recovered.rank_causes(first, &schema), expected);
 }
