@@ -134,6 +134,24 @@ fn fit_network(
     }
 }
 
+/// Run `net` on the caller's thread while `forest` runs on one scoped thread,
+/// or after it if the OS refuses the thread: same result, in sequence. A panic
+/// in either leg resumes in the caller with its own payload (the supervisor
+/// reports that text), once the other leg has finished.
+fn join_legs<A, B: Send>(net: impl FnOnce() -> A, forest: impl Fn() -> B + Sync) -> (A, B) {
+    std::thread::scope(|scope| {
+        let spawned = std::thread::Builder::new()
+            .name("diagnet-forest".into())
+            .spawn_scoped(scope, &forest);
+        let a = net();
+        let b = match spawned {
+            Ok(leg) => leg.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            Err(_) => forest(),
+        };
+        (a, b)
+    })
+}
+
 /// Per-thread reusable buffers for the fused scoring path: one cached
 /// forward's activations serve both the coarse softmax and the attention
 /// backward, and every intermediate (normalised features, probabilities,
@@ -261,17 +279,25 @@ impl DiagNet {
             config.validation_fraction,
             SplitMix64::derive(seed, 1),
         );
+        drop((raw_rows, rows, x)); // the split owns its rows; these copies are dead
         let mut network = Self::build_network(config, seed);
         let class_weights = config
             .balance_classes
             .then(|| balanced_class_weights(&ty, diagnet_sim::metrics::ALL_FAMILIES.len()));
         // 2. The auxiliary forest (full cause space, hidden landmark
         //    features zeroed exactly as §IV-B(a) prescribes) shares no
-        //    state with the coarse network, so both ensemble members train
-        //    concurrently. Each derives its own seed, so the result is
-        //    bit-identical to the former sequential schedule.
-        let (history, auxiliary) = rayon::join(
+        //    state with the coarse network and derives its own seed, so it
+        //    trains on a second thread, bit-identical to training in turn.
+        //    Memory a thread allocates stays in its arena after it exits,
+        //    so the leg that allocates least moves, its inputs built here.
+        let (aux_rows, aux_labels) =
+            crate::backend::training_rows_and_labels(train_data, &train_schema);
+        let mut forest_cfg = config.forest.clone();
+        forest_cfg.seed = SplitMix64::derive(seed, 3);
+        let n_causes = FeatureSchema::full().n_features();
+        let (history, auxiliary) = join_legs(
             || {
+                let _span = diagnet_obs::span("core.train.network");
                 fit_network(
                     config,
                     &mut network,
@@ -282,10 +308,12 @@ impl DiagNet {
                     SplitMix64::derive(seed, 2),
                 )
             },
-            || Self::train_auxiliary(config, train_data, &train_schema, seed),
+            || {
+                let _span = diagnet_obs::span("core.train.forest");
+                ExtensibleForest::fit(&forest_cfg, &aux_rows, &aux_labels, n_causes)
+            },
         );
         let history = history?;
-        let auxiliary = auxiliary?;
 
         Ok(DiagNet::from_parts(
             config.clone(),
@@ -889,6 +917,150 @@ mod tests {
         let a = DiagNet::train(&DiagNetConfig::fast(), &split.train, 9).unwrap();
         let b = DiagNet::train(&DiagNetConfig::fast(), &split.train, 9).unwrap();
         assert_eq!(a.network, b.network);
+    }
+
+    /// The two legs wait on one barrier, so the call returns only if they
+    /// run at the same time (in sequence it deadlocks), and the forest leg
+    /// runs on its own named thread.
+    #[test]
+    fn legs_overlap_and_the_forest_leg_has_its_own_named_thread() {
+        let barrier = std::sync::Barrier::new(2);
+        let here = || {
+            barrier.wait();
+            let thread = std::thread::current();
+            (thread.id(), thread.name().map(str::to_owned))
+        };
+        let caller = std::thread::current().id();
+        let ((net_id, _), (forest_id, forest_name)) = join_legs(here, here);
+        assert_eq!(net_id, caller, "the network leg stays on the caller");
+        assert_ne!(forest_id, caller);
+        assert_eq!(forest_name.as_deref(), Some("diagnet-forest"));
+    }
+
+    /// A leg that fails or panics at once does not leave the other behind:
+    /// the forest leg's last act has happened by the time the call is over,
+    /// and a network-leg panic arrives with its own payload.
+    #[test]
+    fn a_failed_network_leg_still_waits_for_the_forest_leg() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let finished = AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(2);
+        // The forest leg cannot end before the network leg is on its way
+        // out: its exit is after the barrier the network leg passes last.
+        let forest = || {
+            barrier.wait();
+            finished.fetch_add(1, Ordering::SeqCst);
+        };
+        let (failed, ()) = join_legs(
+            || {
+                barrier.wait();
+                Err::<(), &str>("bad config")
+            },
+            forest,
+        );
+        assert_eq!(failed, Err("bad config"));
+        assert_eq!(finished.load(Ordering::SeqCst), 1);
+
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            join_legs(
+                || {
+                    barrier.wait();
+                    panic!("network leg blew up")
+                },
+                forest,
+            )
+        }))
+        .expect_err("the network leg panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"network leg blew up"));
+        assert_eq!(finished.load(Ordering::SeqCst), 2);
+    }
+
+    /// `training_is_deterministic` compares the threaded schedule with
+    /// itself; this compares it with the two fits run one after the other
+    /// on this thread and assembled by hand.
+    #[test]
+    fn threaded_training_equals_the_serial_schedule_bit_for_bit() {
+        let (_, train, test, model) = trained_fast();
+        let (config, schema, seed) = (DiagNetConfig::fast(), FeatureSchema::known(), 21);
+        let (raw_rows, labels) = train.to_rows(&schema, 0.0);
+        let normalizer = Normalizer::fit_with(&schema, &raw_rows, config.stabilize_features);
+        let x = Matrix::from_rows(&normalizer.apply_batch(&schema, &raw_rows));
+        let (tx, ty, vx, vy) = train_val_split(
+            &x,
+            &labels,
+            config.validation_fraction,
+            SplitMix64::derive(seed, 1),
+        );
+        let mut network = DiagNet::build_network(&config, seed);
+        let class_weights = balanced_class_weights(&ty, diagnet_sim::metrics::ALL_FAMILIES.len());
+        let history = fit_network(
+            &config,
+            &mut network,
+            &tx,
+            &ty,
+            (&vx, &vy),
+            Some(class_weights),
+            SplitMix64::derive(seed, 2),
+        )
+        .unwrap();
+        let auxiliary = DiagNet::train_auxiliary(&config, train, &schema, seed).unwrap();
+        let serial = DiagNet::from_parts(config, network, normalizer, schema, auxiliary, history);
+
+        let bits = |m: &DiagNet| -> Vec<u32> {
+            let mut out = Vec::new();
+            for layer in &m.network.layers {
+                match layer {
+                    Layer::LandPool(l) => {
+                        out.extend(l.kernel.data().iter().map(|v| v.to_bits()));
+                        out.extend(l.bias.iter().map(|v| v.to_bits()));
+                    }
+                    Layer::Dense(l) => {
+                        out.extend(l.w.data().iter().map(|v| v.to_bits()));
+                        out.extend(l.b.iter().map(|v| v.to_bits()));
+                    }
+                    _ => {}
+                }
+            }
+            out
+        };
+        assert_eq!(bits(model), bits(&serial));
+        assert_eq!(bits(model).len(), model.num_params());
+        let full = FeatureSchema::full();
+        let score_bits = |m: &DiagNet, features: &[f32]| -> Vec<u32> {
+            let r = m.rank_causes(features, &full);
+            let all = r.scores.iter().chain(&r.coarse).chain([&r.w_unknown]);
+            all.map(|v| v.to_bits()).collect()
+        };
+        assert!(test.samples.len() >= 50);
+        for sample in test.samples.iter().take(50) {
+            assert_eq!(
+                score_bits(model, &sample.features),
+                score_bits(&serial, &sample.features)
+            );
+        }
+    }
+
+    /// A panic on the forest thread reaches the caller as itself, not as
+    /// the scope's "a scoped thread panicked": the supervisor shows an
+    /// operator this text.
+    #[test]
+    fn a_forest_leg_panic_keeps_its_message() {
+        let (_, train, _, _) = trained_fast();
+        let mut config = DiagNetConfig::fast();
+        config.forest.n_trees = 0;
+        let payload = std::panic::catch_unwind(|| DiagNet::train(&config, train, 1))
+            .expect_err("a forest of no trees cannot be fitted");
+        let message = payload.downcast_ref::<&str>().expect("assertion text");
+        assert!(message.contains("need at least one tree"), "{message}");
+    }
+
+    #[test]
+    fn a_network_leg_error_is_returned() {
+        let (_, train, _, _) = trained_fast();
+        let mut config = DiagNetConfig::fast();
+        config.batch_size = 0;
+        let err = DiagNet::train(&config, train, 1).unwrap_err();
+        assert!(matches!(err, NnError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

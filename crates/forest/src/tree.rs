@@ -67,6 +67,14 @@ pub struct DecisionTree {
     n_classes: usize,
 }
 
+/// Split-search buffers, allocated once per tree and reused at every node.
+#[derive(Default)]
+struct Scratch {
+    sorted: Vec<(f32, usize)>,
+    left_counts: Vec<usize>,
+    right_counts: Vec<usize>,
+}
+
 /// Gini impurity of a class-count histogram.
 fn gini(counts: &[usize], total: usize) -> f64 {
     if total == 0 {
@@ -103,11 +111,12 @@ impl DecisionTree {
             n_classes,
         };
         let mut idx = indices.to_vec();
-        tree.build(config, rows, y, &mut idx, 0, rng);
+        tree.build(config, rows, y, &mut idx, 0, rng, &mut Scratch::default());
         tree
     }
 
     /// Recursively grow the subtree over `indices`, returning its node id.
+    #[allow(clippy::too_many_arguments)]
     fn build(
         &mut self,
         config: &TreeConfig,
@@ -116,6 +125,7 @@ impl DecisionTree {
         indices: &mut [usize],
         depth: usize,
         rng: &mut SplitMix64,
+        ws: &mut Scratch,
     ) -> usize {
         let mut counts = vec![0usize; self.n_classes];
         for &i in indices.iter() {
@@ -137,25 +147,27 @@ impl DecisionTree {
         };
         // Best split: (weighted child impurity, feature, threshold).
         let mut best: Option<(f64, usize, f32)> = None;
-        let mut sorted: Vec<(f32, usize)> = Vec::with_capacity(total);
+        let sorted = &mut ws.sorted;
         for &feat in &candidates {
             sorted.clear();
             sorted.extend(indices.iter().map(|&i| (rows[i][feat], y[i])));
             sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            let mut left_counts = vec![0usize; self.n_classes];
-            let mut right_counts = counts.clone();
+            ws.left_counts.clear();
+            ws.left_counts.resize(self.n_classes, 0);
+            ws.right_counts.clear();
+            ws.right_counts.extend_from_slice(&counts);
             for w in 0..total - 1 {
                 let (v, cls) = sorted[w];
-                left_counts[cls] += 1;
-                right_counts[cls] -= 1;
+                ws.left_counts[cls] += 1;
+                ws.right_counts[cls] -= 1;
                 let next_v = sorted[w + 1].0;
                 if next_v <= v {
                     continue; // no boundary between equal values
                 }
                 let n_left = w + 1;
                 let n_right = total - n_left;
-                let score = (n_left as f64 * gini(&left_counts, n_left)
-                    + n_right as f64 * gini(&right_counts, n_right))
+                let score = (n_left as f64 * gini(&ws.left_counts, n_left)
+                    + n_right as f64 * gini(&ws.right_counts, n_right))
                     / total as f64;
                 // Zero-gain splits are accepted (`<=`): problems like XOR
                 // have no first-level gain yet are separable deeper down.
@@ -185,8 +197,8 @@ impl DecisionTree {
         let node_id = self.nodes.len();
         self.nodes.push(Node::Leaf { probs: Vec::new() }); // placeholder
         let (left_idx, right_idx) = indices.split_at_mut(lo);
-        let left = self.build(config, rows, y, left_idx, depth + 1, rng);
-        let right = self.build(config, rows, y, right_idx, depth + 1, rng);
+        let left = self.build(config, rows, y, left_idx, depth + 1, rng, ws);
+        let right = self.build(config, rows, y, right_idx, depth + 1, rng, ws);
         self.nodes[node_id] = Node::Split {
             feature,
             threshold,
@@ -508,6 +520,138 @@ mod tests {
             tree.n_nodes() / 2,
             "every split uses the single feature"
         );
+    }
+
+    /// `DecisionTree::build` as it was before the split-search buffers were
+    /// hoisted into [`Scratch`]: fresh vectors at every node and candidate.
+    fn reference_build(
+        tree: &mut DecisionTree,
+        config: &TreeConfig,
+        rows: &[Vec<f32>],
+        y: &[usize],
+        indices: &mut [usize],
+        depth: usize,
+        rng: &mut SplitMix64,
+    ) -> usize {
+        let mut counts = vec![0usize; tree.n_classes];
+        for &i in indices.iter() {
+            counts[y[i]] += 1;
+        }
+        let total = indices.len();
+        let node_gini = gini(&counts, total);
+        let make_leaf = |counts: &[usize]| Node::Leaf {
+            probs: counts.iter().map(|&c| c as f32 / total as f32).collect(),
+        };
+        if depth >= config.max_depth || total < config.min_samples_split || node_gini == 0.0 {
+            tree.nodes.push(make_leaf(&counts));
+            return tree.nodes.len() - 1;
+        }
+        let n_features = rows[0].len();
+        let candidates: Vec<usize> = match config.n_feature_candidates {
+            Some(k) if k < n_features => rng.sample_indices(n_features, k),
+            _ => (0..n_features).collect(),
+        };
+        let mut best: Option<(f64, usize, f32)> = None;
+        for &feat in &candidates {
+            let mut sorted: Vec<(f32, usize)> =
+                indices.iter().map(|&i| (rows[i][feat], y[i])).collect();
+            sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            let mut left_counts = vec![0usize; tree.n_classes];
+            let mut right_counts = counts.clone();
+            for w in 0..total - 1 {
+                let (v, cls) = sorted[w];
+                left_counts[cls] += 1;
+                right_counts[cls] -= 1;
+                let next_v = sorted[w + 1].0;
+                if next_v <= v {
+                    continue;
+                }
+                let n_left = w + 1;
+                let n_right = total - n_left;
+                let score = (n_left as f64 * gini(&left_counts, n_left)
+                    + n_right as f64 * gini(&right_counts, n_right))
+                    / total as f64;
+                if best.map_or(score <= node_gini, |(b, _, _)| score < b) {
+                    best = Some((score, feat, 0.5 * (v + next_v)));
+                }
+            }
+        }
+        let Some((_, feature, threshold)) = best else {
+            tree.nodes.push(make_leaf(&counts));
+            return tree.nodes.len() - 1;
+        };
+        let mut lo = 0usize;
+        let mut hi = indices.len();
+        while lo < hi {
+            if rows[indices[lo]][feature] < threshold {
+                lo += 1;
+            } else {
+                hi -= 1;
+                indices.swap(lo, hi);
+            }
+        }
+        let node_id = tree.nodes.len();
+        tree.nodes.push(Node::Leaf { probs: Vec::new() });
+        let (left_idx, right_idx) = indices.split_at_mut(lo);
+        let left = reference_build(tree, config, rows, y, left_idx, depth + 1, rng);
+        let right = reference_build(tree, config, rows, y, right_idx, depth + 1, rng);
+        tree.nodes[node_id] = Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        node_id
+    }
+
+    /// Reusing one scratch per tree is buffer reuse only: same comparisons
+    /// in the same order, so the tree is the one the per-node vectors grew.
+    #[test]
+    fn scratch_reuse_grows_the_same_tree_as_per_node_buffers() {
+        // (samples, features, classes, candidates per split)
+        let shapes = [(240, 6, 3, Some(2)), (90, 12, 5, None)];
+        for (n, n_features, n_classes, n_feature_candidates) in shapes {
+            for seed in [1u64, 2, 3] {
+                let mut data = SplitMix64::new(SplitMix64::derive(seed, n as u64));
+                // Quantised values, so equal neighbours (no boundary) occur.
+                let rows: Vec<Vec<f32>> = (0..n)
+                    .map(|_| {
+                        (0..n_features)
+                            .map(|_| data.next_below(16) as f32 * 0.25)
+                            .collect()
+                    })
+                    .collect();
+                let y: Vec<usize> = (0..n).map(|_| data.next_below(n_classes)).collect();
+                let bootstrap: Vec<usize> = (0..n).map(|_| data.next_below(n)).collect();
+                let config = TreeConfig {
+                    n_feature_candidates,
+                    ..Default::default()
+                };
+                let tree = DecisionTree::fit(
+                    &config,
+                    &rows,
+                    &y,
+                    n_classes,
+                    &bootstrap,
+                    &mut SplitMix64::new(seed),
+                );
+                let mut reference = DecisionTree {
+                    nodes: Vec::new(),
+                    n_classes,
+                };
+                reference_build(
+                    &mut reference,
+                    &config,
+                    &rows,
+                    &y,
+                    &mut bootstrap.clone(),
+                    0,
+                    &mut SplitMix64::new(seed),
+                );
+                assert!(tree.n_nodes() > 3, "shape too easy to exercise the search");
+                assert_eq!(format!("{tree:?}"), format!("{reference:?}"));
+            }
+        }
     }
 
     #[test]

@@ -479,6 +479,40 @@ mod tests {
         ));
     }
 
+    /// The forest trains on a thread of its own inside `DiagNet::train`; a
+    /// panic there must still reach the operator in its own words.
+    #[test]
+    fn a_panic_on_the_forest_thread_is_reported_with_its_own_message() {
+        let (world, collector) = loaded(106);
+        let mut model = DiagNetConfig::fast();
+        model.epochs = 1;
+        model.forest.n_trees = 0;
+        let treeless: Arc<dyn TrainPipeline> = Arc::new(StandardPipeline {
+            kind: BackendKind::DiagNet,
+            config: BackendConfig::from_diagnet(model),
+            general_services: world.catalog.general_ids(),
+            min_service_samples: usize::MAX,
+        });
+        let supervision = SupervisionConfig {
+            max_attempts: 1,
+            ..SupervisionConfig::default()
+        };
+        let failure = supervised_retrain(
+            &collector,
+            &Arc::new(ModelRegistry::new()),
+            &treeless,
+            &supervision,
+            &HealthMonitor::new(),
+            106,
+            &AtomicBool::new(false),
+        )
+        .unwrap_err();
+        let TrainFailure::Panicked(message) = failure else {
+            panic!("expected a panic, got {failure}");
+        };
+        assert!(message.contains("need at least one tree"), "{message}");
+    }
+
     #[test]
     fn training_errors_fail_fast_without_retry() {
         let world = World::new();

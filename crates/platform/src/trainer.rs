@@ -117,12 +117,14 @@ impl TrainPipeline for StandardPipeline {
         self.kind
     }
 
-    /// A DiagNet generation is internally parallel: `DiagNet::train` fits
-    /// the coarse network and the auxiliary forest concurrently
-    /// (`rayon::join`), and `SpecializedModels::train` specialises all
-    /// eligible services in parallel. Per-member seeds are derived by
-    /// index, so a generation is bit-for-bit reproducible regardless of
-    /// thread count.
+    /// A DiagNet generation uses two cores while its general model
+    /// trains: `DiagNet::train` fits the coarse network on the calling
+    /// thread and the auxiliary forest on one scoped `std` thread
+    /// (`diagnet-forest`, joined before the model is assembled; run inline
+    /// if the OS refuses the thread). `SpecializedModels::train` then
+    /// specialises the eligible services through rayon. Per-member seeds
+    /// are derived by index, so a generation is bit-for-bit reproducible
+    /// regardless of thread count.
     fn train_generation(&self, data: &Dataset, seed: u64) -> Result<Generation, NnError> {
         let general_data = data.filter_services(&self.general_services);
         if general_data.is_empty() {

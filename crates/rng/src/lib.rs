@@ -4,7 +4,8 @@
 //! initialisation, mini-batch shuffling and forest bootstrapping all derive
 //! their randomness from explicit `u64` seeds. Parallel code paths derive
 //! *per-item* seeds with [`SplitMix64`], so results are bit-identical
-//! regardless of the rayon thread count.
+//! however many threads run them — rayon's pool, or the one scoped `std`
+//! thread `DiagNet::train` fits its forest on — and in whatever order.
 
 /// SplitMix64 — a tiny, high-quality 64-bit PRNG / seed mixer.
 ///
